@@ -6,7 +6,7 @@
 //! (workload × config × seed) grids out over it — so host-side simulator
 //! speed directly bounds how much evaluation the repo can afford. This
 //! module times the eleven Table 5 golden kernels (or any registry
-//! workload) end-to-end through [`Machine::run`] and reports simulated
+//! workload) end-to-end through [`Machine::run_with`] and reports simulated
 //! MIPS (million instructions per second) and MCPS (million cycles per
 //! second), the standard figures of merit for instruction-set
 //! simulators.
@@ -36,16 +36,11 @@ pub struct SpeedRow {
     /// included, as a sweep pays them per run too).
     pub wall_s: f64,
     /// Full `MemorySystem` calls the fused engine made (per run):
-    /// demand accesses and cache-control ops that missed or bypassed
-    /// the line-resident window. `mem_calls / instrs` is the
+    /// demand accesses and cache-control ops. `mem_calls / instrs` is the
     /// calls-per-instruction cost metric of EXPERIMENTS.md §Simulator
     /// throughput. Zero on `--force-fallback` runs (the fallback engine
     /// does not count).
     pub mem_calls: u64,
-    /// Loads/stores serviced raw inside a line-resident window.
-    pub window_hits: u64,
-    /// Line-resident windows committed back at a seam.
-    pub window_revocations: u64,
 }
 
 impl SpeedRow {
@@ -120,8 +115,6 @@ pub fn measure_kernel_with(
         cycles,
         wall_s: best,
         mem_calls: telemetry.mem_calls,
-        window_hits: telemetry.window_hits,
-        window_revocations: telemetry.window_revocations,
     })
 }
 
@@ -187,8 +180,7 @@ pub fn speed_json(config: &MachineConfig, rows: &[SpeedRow]) -> String {
             format!(
                 "{{\"workload\":{},\"instrs\":{},\"cycles\":{},\
                  \"wall_ms\":{},\"sim_mips\":{},\"sim_mcps\":{},\
-                 \"mem_calls\":{},\"window_hits\":{},\
-                 \"window_revocations\":{}}}",
+                 \"mem_calls\":{}}}",
                 json::string(&r.workload),
                 r.instrs,
                 r.cycles,
@@ -196,8 +188,6 @@ pub fn speed_json(config: &MachineConfig, rows: &[SpeedRow]) -> String {
                 json::number(r.sim_mips()),
                 json::number(r.sim_mcps()),
                 r.mem_calls,
-                r.window_hits,
-                r.window_revocations,
             )
         })
         .collect();
@@ -224,60 +214,44 @@ pub fn speed_report(config: &MachineConfig, rows: &[SpeedRow]) -> String {
     let _ = writeln!(out, "Simulator throughput on {}", config.name);
     let _ = writeln!(
         out,
-        "{:<16} {:>12} {:>12} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8}",
-        "workload",
-        "instrs",
-        "cycles",
-        "wall ms",
-        "sim MIPS",
-        "sim MCPS",
-        "mem/i",
-        "win hits",
-        "revocs"
+        "{:<16} {:>12} {:>12} {:>10} {:>10} {:>10} {:>8}",
+        "workload", "instrs", "cycles", "wall ms", "sim MIPS", "sim MCPS", "mem/i"
     );
     for r in rows {
         let mem_per_instr = r.mem_calls as f64 / (r.instrs.max(1)) as f64;
         let _ = writeln!(
             out,
-            "{:<16} {:>12} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>8.3} {:>10} {:>8}",
+            "{:<16} {:>12} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>8.3}",
             r.workload,
             r.instrs,
             r.cycles,
             r.wall_s * 1e3,
             r.sim_mips(),
             r.sim_mcps(),
-            mem_per_instr,
-            r.window_hits,
-            r.window_revocations
+            mem_per_instr
         );
     }
     let total = SpeedTotal::of(rows);
     let mem_calls: u64 = rows.iter().map(|r| r.mem_calls).sum();
-    let window_hits: u64 = rows.iter().map(|r| r.window_hits).sum();
-    let revocations: u64 = rows.iter().map(|r| r.window_revocations).sum();
     let _ = writeln!(
         out,
-        "{:<16} {:>12} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>8.3} {:>10} {:>8}",
+        "{:<16} {:>12} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>8.3}",
         "TOTAL",
         total.instrs,
         total.cycles,
         total.wall_s * 1e3,
         total.sim_mips(),
         total.sim_mcps(),
-        mem_calls as f64 / (total.instrs.max(1)) as f64,
-        window_hits,
-        revocations
+        mem_calls as f64 / (total.instrs.max(1)) as f64
     );
     let _ = writeln!(
         out,
-        "{:<16} {:>12} {:>12} {:>10} {:>10.2} {:>10} {:>8} {:>10} {:>8}",
+        "{:<16} {:>12} {:>12} {:>10} {:>10.2} {:>10} {:>8}",
         "GEOMEAN",
         "-",
         "-",
         "-",
         geomean_mips(rows),
-        "-",
-        "-",
         "-",
         "-"
     );
@@ -308,8 +282,6 @@ mod tests {
             cycles: 150,
             wall_s: 0.002,
             mem_calls: 40,
-            window_hits: 30,
-            window_revocations: 5,
         }];
         let doc = speed_json(&MachineConfig::tm3270(), &rows);
         for needle in [
@@ -322,8 +294,6 @@ mod tests {
             "\"sim_mips\":",
             "\"sim_mcps\":",
             "\"mem_calls\":40",
-            "\"window_hits\":30",
-            "\"window_revocations\":5",
             "\"total\":{",
             "\"geomean_sim_mips\":",
         ] {
@@ -339,8 +309,6 @@ mod tests {
             cycles: 1_000_000,
             wall_s: 1.0 / mips,
             mem_calls: 0,
-            window_hits: 0,
-            window_revocations: 0,
         };
         // Geomean of {4, 16} is 8 regardless of how long each row ran.
         let rows = vec![row(4.0), row(16.0)];

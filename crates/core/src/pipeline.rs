@@ -231,7 +231,7 @@ impl RunStats {
     }
 }
 
-/// One traced VLIW instruction execution (see [`Machine::run_traced`]).
+/// One traced VLIW instruction execution (see [`RunOptions::observe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Cycle at which the instruction issued (after front-end stalls).
@@ -248,9 +248,8 @@ pub struct TraceRecord {
     pub branch_taken: Option<usize>,
 }
 
-/// Options for one [`Machine::run_with`] call: the unified run entry
-/// point behind [`Machine::run`], [`Machine::run_reported`] and
-/// [`Machine::run_traced`].
+/// Options for one [`Machine::run_with`] call, the machine's run entry
+/// point.
 ///
 /// Build options fluently:
 ///
@@ -317,8 +316,8 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Attaches a per-instruction observer (the [`Machine::run_traced`]
-    /// callback).
+    /// Attaches a per-instruction observer, invoked with every executed
+    /// [`TraceRecord`].
     pub fn observe<'b>(self, trace: &'b mut dyn FnMut(&TraceRecord)) -> RunOptions<'b>
     where
         'a: 'b,
@@ -348,8 +347,7 @@ impl RunOutcome {
         self.result.as_ref().ok()
     }
 
-    /// Unwraps into the plain [`Machine::run`]-shaped result, discarding
-    /// any captured report.
+    /// Unwraps into a plain `Result`, discarding any captured report.
     ///
     /// # Errors
     ///
@@ -384,9 +382,8 @@ struct PlannedOp {
     /// prefetch MMIO) — those take the generic path.
     fast_mem: Option<FastMem>,
     /// Whether the op touches the memory unit at all
-    /// ([`Opcode::is_mem`]): the fused loop must close any open
-    /// line-resident window and start full memory-system timing before
-    /// dispatching a guard-true memory op through the generic path.
+    /// ([`Opcode::is_mem`]): a guard-true memory op on the generic path
+    /// counts as a full-model call in [`EngineTelemetry::mem_calls`].
     mem: bool,
 }
 
@@ -654,14 +651,11 @@ pub struct EngineTelemetry {
     /// Divided by `fused_instrs` this is the "calls per instruction"
     /// cost metric of EXPERIMENTS.md §Simulator throughput.
     pub mem_calls: u64,
-    /// Loads and stores serviced raw inside a line-resident access
-    /// window (`MemorySystem::try_open_window`) — accesses that skipped
-    /// the full memory model entirely.
+    /// Always 0: the engine has no line-resident access windows, so no
+    /// access bypasses the memory model. Kept only because the
+    /// benchmark crate reads it; it goes away with the next change to
+    /// the benchmark.
     pub window_hits: u64,
-    /// Line-resident windows closed (committed back to the memory
-    /// system): every revocation cause — window-missing access, generic
-    /// memory op, seam flush — lands here.
-    pub window_revocations: u64,
 }
 
 /// Ring capacity of the writeback scoreboard, in landing slots. Must
@@ -1354,91 +1348,7 @@ impl Machine {
         const FULL_PROBE: u32 = u32::MAX;
         let mut probe_floor = FULL_PROBE;
 
-        // Line-resident window set (`MemorySystem::try_open_window`):
-        // up to `NWIN` cache lines whose same-line loads and stores
-        // bypass the full memory-model call — data moves raw against
-        // flat memory, and the hit's architectural effects (recency
-        // tick, hit statistics, line LRU/dirty, write-buffer drain)
-        // are applied *immediately* through the indexed shortcuts
-        // `window_hit_load`/`window_hit_store`. Nothing is deferred:
-        // the model is bit-identical to the full path after every
-        // single access, and a window hit is strictly cheaper than the
-        // access it replaces (no probe, no byte-coverage check, no
-        // segmentation, no prefetch observation). Media kernels
-        // interleave a couple of load streams with a store stream;
-        // tracking one line per stream is what lets windows survive
-        // the interleave instead of thrashing open/closed on every
-        // alternation.
-        //
-        // `WIN_NONE` doubles as the "empty slot" sentinel *and* a value
-        // the containment compare below can never match: line bases are
-        // multiples of the (≥64-byte) line size, and `addr & !win_mask`
-        // only produces such multiples.
-        const WIN_NONE: u32 = 1;
-        const NWIN: usize = 4;
-        let win_line = self.mem.config().dcache.line;
-        let win_mask = win_line - 1;
-        let mut wbase = [WIN_NONE; NWIN];
-        // Cache-array slot of each window line, captured at open and
-        // refreshed on every epoch-change re-validation: window hits
-        // address the line directly instead of probing for it.
-        let mut widx = [0u32; NWIN];
-        let mut nwin = 0usize;
-        let mut wnext = 0usize;
-        // Data-cache shape epoch at the last window maintenance: while
-        // it stands still (and the prefetch unit stays quiescent), no
-        // full-model activity can have disturbed a window line, so
-        // re-validation is one counter compare instead of per-slot
-        // checks.
-        let mut win_epoch = self.mem.dcache_epoch();
-        // Single-entry negative cache: the last line that refused a
-        // window open (typically a write-allocated, partially valid
-        // line). Skips the open probe the streaming-store pattern would
-        // otherwise repeat for every store; cleared whenever the shape
-        // epoch moves, since only a structural mutation (e.g. a refill
-        // merge) can make a refused line eligible.
-        let mut no_open: u32 = WIN_NONE;
-        // Adaptive churn gate. Windows only pay when a line takes many
-        // hits between structural disturbances; a working set that
-        // thrashes the cache (mpeg2-style motion compensation) revokes
-        // windows almost as fast as it opens them, and the open/
-        // re-validate traffic becomes pure overhead. Once enough
-        // revocations have accumulated to judge the run, a poor
-        // hit-per-revocation ratio switches opening off for the rest of
-        // the engine run — architectural effects are unchanged (every
-        // access simply takes the full path), only throughput policy.
-        let mut wins_enabled = true;
-        // Open-attempt latch, written by full-path single-line accesses
-        // and consumed (then reset) by end-of-instruction maintenance —
-        // hoisted out of the per-instruction scope so instructions that
-        // never latch don't pay the re-initialisation. Two entries
-        // because media loops commonly issue two streams' loads in one
-        // VLIW instruction (e.g. bi-directional prediction fetches) — a
-        // single latch would let one stream's window starve the
-        // other's.
-        let mut reopen: [u32; 2] = [WIN_NONE; 2];
         let mut mem_calls = 0u64;
-        let mut window_hits = 0u64;
-        let mut window_revs = 0u64;
-
-        // Drops every window slot (counted as revocations). Nothing to
-        // sync — window effects are applied as they happen — so this is
-        // pure bookkeeping for seams whose continuation cannot trust
-        // the captured line indices (snapshot restore, engine exit).
-        macro_rules! close_windows {
-            () => {
-                if nwin > 0 {
-                    for k in 0..NWIN {
-                        if wbase[k] != WIN_NONE {
-                            wbase[k] = WIN_NONE;
-                            window_revs += 1;
-                        }
-                    }
-                    nwin = 0;
-                    let _ = nwin;
-                }
-            };
-        }
 
         // Crash-report ring, kept in a local circular buffer and folded
         // back into `self.trace_ring` on exit: per-instruction VecDeque
@@ -1465,7 +1375,6 @@ impl Machine {
 
         macro_rules! flush {
             () => {
-                close_windows!();
                 for k in 0..lane_n {
                     self.writes.push(lane_land, lane[k].0, lane[k].1);
                 }
@@ -1484,8 +1393,6 @@ impl Machine {
                 self.stats.data_stall_cycles = dstall_total;
                 self.telemetry.fused_instrs += fused;
                 self.telemetry.mem_calls += mem_calls;
-                self.telemetry.window_hits += window_hits;
-                self.telemetry.window_revocations += window_revs;
                 if local_ring.len() == ring && ring > 0 {
                     // A full rotation: the local buffer alone holds the
                     // last `ring` records, oldest at `ring_head`.
@@ -1559,142 +1466,11 @@ impl Machine {
             // on it). The clock itself still tracks every instruction
             // (`set_now`) so a snapshot taken after a pure-ALU tail is
             // byte-identical to one from the fallback engine.
-            //
-            // With windows open the memory-op case also degenerates to
-            // `set_now`: window quiescence guarantees no prefetch is in
-            // flight and `stall` is zero at instruction boundaries, so
-            // `begin_instr` would be byte-identical anyway. Should an
-            // access then escape the set, the `start_mem!` upgrade
-            // below starts full timing before the escaping access
-            // touches the model.
-            let win_open = nwin > 0;
-            let mem_active = (has_mem && !win_open) || self.mem.prefetch_in_flight();
+            let mem_active = has_mem || self.mem.prefetch_in_flight();
             if mem_active {
                 self.mem.begin_instr(issue_cycle);
             } else {
                 self.mem.set_now(issue_cycle);
-            }
-            let mut mem_started = mem_active;
-            // Set once full-model activity ran while windows were open:
-            // it may have evicted or invalidated a window line or armed
-            // the prefetch unit, so window service demands an explicit
-            // proof (`win_ok!`) for the rest of the instruction and
-            // every slot is re-validated at the instruction's end.
-            let mut wins_suspect = false;
-            // Memoised post-upgrade proof (see `win_ok!`):
-            // 0 = not yet evaluated since the last full-model access,
-            // 1 = set proven undisturbed, 2 = disturbed. Re-armed to 0
-            // by every `start_mem!` so each full access forces a fresh
-            // proof before further accesses bypass the model.
-            let mut suspect_ok: u8 = 0;
-            // Window-side data stalls of this instruction (write-buffer
-            // back-pressure charged by `window_hit_store` before full
-            // timing started): integral by construction, so splitting
-            // them out of `take_stall`'s ceiling keeps the total exact.
-            // Exactly one of `wstall` and the model's own accumulator
-            // is live — the `start_mem!` upgrade transfers and zeroes
-            // `wstall`, and post-upgrade back-pressure goes straight to
-            // `add_stall`.
-            let mut wstall = 0.0f64;
-
-            // Full-model access prelude: upgrades the instruction to
-            // full memory-system timing on its first full access,
-            // bracketing it exactly as the non-window path would have
-            // (`begin_instr` at the issue cycle) and transferring any
-            // already charged window-side stalls into the model's
-            // accumulator so the trailing `take_stall` sees the
-            // complete figure. Window state needs no synchronisation —
-            // window hits commit their effects immediately — but the
-            // memoised `win_ok!` proof is re-armed: the access about to
-            // run may disturb the set.
-            macro_rules! start_mem {
-                () => {
-                    suspect_ok = 0;
-                    if !mem_started {
-                        wins_suspect = true;
-                        self.mem.begin_instr(issue_cycle);
-                        if wstall > 0.0 {
-                            self.mem.add_stall(wstall);
-                            wstall = 0.0;
-                            let _ = wstall;
-                        }
-                        mem_started = true;
-                    }
-                };
-            }
-
-            // Window scan: the slot index holding the line of a
-            // single-line access, or `NWIN` for a miss. `addr & !mask`
-            // is a line-size multiple, so the slot compare can never
-            // match the `WIN_NONE` sentinel — empty slots fail the
-            // scan without a separate occupancy check. `$eligible` is
-            // evaluated after the cheap containment test.
-            macro_rules! scan_win {
-                ($addr:expr, $alen:expr, $eligible:expr) => {{
-                    let mut h = NWIN;
-                    if win_open && ($addr & win_mask) + $alen <= win_line && $eligible {
-                        let wline = $addr & !win_mask;
-                        for k in 0..NWIN {
-                            if wbase[k] == wline {
-                                h = k;
-                                break;
-                            }
-                        }
-                    }
-                    h
-                }};
-            }
-
-            // Full-path follow-up: a single-line access is the window
-            // candidate shape — latch its line for an open attempt at
-            // the end of the instruction, once its timing has settled.
-            macro_rules! latch_open {
-                ($addr:expr, $alen:expr) => {
-                    if wins_enabled && ($addr ^ $addr.wrapping_add($alen - 1)) & !win_mask == 0 {
-                        let l = $addr & !win_mask;
-                        // The negative cache is consulted at latch time
-                        // (not just at open time) so a streaming store
-                        // run over a refused line — the allocate-on-
-                        // write pattern writes a line far faster than
-                        // it completes it — doesn't re-enter
-                        // maintenance on every single store.
-                        if l != no_open {
-                            if reopen[0] == WIN_NONE {
-                                reopen[0] = l;
-                            } else if reopen[0] != l {
-                                reopen[1] = l;
-                            }
-                        }
-                    }
-                };
-            }
-
-            // Post-upgrade eligibility. After a full-model access ran
-            // this instruction (`wins_suspect`), accesses may still be
-            // window serviced if an inline check proves the set
-            // undisturbed: shape epoch unmoved and prefetch still
-            // quiescent. VLIW media loops routinely bundle a streaming
-            // (full-path) access with a window-resident one in a single
-            // instruction — without the inline check the full access
-            // would drag its bundle-mates off the fast path. The proof
-            // is memoised in `suspect_ok`: the set cannot be disturbed
-            // between full accesses, so one evaluation covers the
-            // whole run until `start_mem!` fires again.
-            macro_rules! win_ok {
-                () => {
-                    !wins_suspect || {
-                        if suspect_ok == 0 {
-                            suspect_ok = if self.mem.dcache_epoch() == win_epoch
-                                && self.mem.prefetch_quiescent()
-                            {
-                                1
-                            } else {
-                                2
-                            };
-                        }
-                        suspect_ok == 1
-                    }
-                };
             }
 
             ops += u64::from(end - start);
@@ -1725,11 +1501,7 @@ impl Machine {
                 } else if let Some(fm) = po.fast_mem {
                     // Directly dispatched load/store: same semantics as
                     // the matching `execute` arm, minus the giant opcode
-                    // match and the `ExecResult` round trip. Accesses
-                    // confined to the open line-resident window are
-                    // serviced raw; everything else takes the full
-                    // memory model (upgrading the instruction via
-                    // `start_mem!` first).
+                    // match and the `ExecResult` round trip.
                     if self.regs.guard(po.op.guard) {
                         exec_ops += 1;
                         exec_here += 1;
@@ -1748,17 +1520,8 @@ impl Machine {
                                 let addr = self.regs.read(po.op.srcs[0]).wrapping_add(off);
                                 match self.mem.check_access(addr, u32::from(bytes)) {
                                     Ok(()) => {
-                                        let h = scan_win!(addr, u32::from(bytes), win_ok!());
-                                        let v = if h < NWIN {
-                                            window_hits += 1;
-                                            self.mem.window_hit_load(widx[h]);
-                                            self.mem.window_load_le(addr, bytes as usize)
-                                        } else {
-                                            start_mem!();
-                                            mem_calls += 1;
-                                            latch_open!(addr, u32::from(bytes));
-                                            self.mem.load_le(addr, bytes as usize)
-                                        };
+                                        mem_calls += 1;
+                                        let v = self.mem.load_le(addr, bytes as usize);
                                         let v = if sext {
                                             sign_extend(v, u32::from(bytes) * 8)
                                         } else {
@@ -1785,27 +1548,8 @@ impl Machine {
                                 match self.mem.check_access(addr, u32::from(bytes)) {
                                     Ok(()) => {
                                         let v = self.regs.read(po.op.srcs[1]);
-                                        let h = scan_win!(addr, u32::from(bytes), win_ok!());
-                                        if h < NWIN {
-                                            window_hits += 1;
-                                            self.mem.window_store_le(addr, bytes as usize, v);
-                                            // Write-buffer back-pressure
-                                            // lands wherever the stall
-                                            // accumulator currently
-                                            // lives (see `wstall`).
-                                            if self.mem.window_hit_store(widx[h], wstall) {
-                                                if mem_started {
-                                                    self.mem.add_stall(1.0);
-                                                } else {
-                                                    wstall += 1.0;
-                                                }
-                                            }
-                                        } else {
-                                            start_mem!();
-                                            mem_calls += 1;
-                                            latch_open!(addr, u32::from(bytes));
-                                            self.mem.store_le(addr, bytes as usize, v);
-                                        }
+                                        mem_calls += 1;
+                                        self.mem.store_le(addr, bytes as usize, v);
                                         None
                                     }
                                     Err(e) => Some(e),
@@ -1819,17 +1563,8 @@ impl Machine {
                                 match self.mem.check_access(addr, 8) {
                                     Ok(()) => {
                                         let mut buf = [0u8; 8];
-                                        let h = scan_win!(addr, 8, win_ok!());
-                                        if h < NWIN {
-                                            window_hits += 1;
-                                            self.mem.window_hit_load(widx[h]);
-                                            self.mem.window_load_bytes(addr, &mut buf);
-                                        } else {
-                                            start_mem!();
-                                            mem_calls += 1;
-                                            latch_open!(addr, 8u32);
-                                            self.mem.load_bytes(addr, &mut buf);
-                                        }
+                                        mem_calls += 1;
+                                        self.mem.load_bytes(addr, &mut buf);
                                         let (w1, w2) = super_ld32_words(buf);
                                         if po.latency == 1 {
                                             lane[lane_n] = (po.op.dsts[0], w1);
@@ -1850,17 +1585,8 @@ impl Machine {
                                 match self.mem.check_access(addr, 5) {
                                     Ok(()) => {
                                         let mut data = [0u8; 5];
-                                        let h = scan_win!(addr, 5, win_ok!());
-                                        if h < NWIN {
-                                            window_hits += 1;
-                                            self.mem.window_hit_load(widx[h]);
-                                            self.mem.window_load_bytes(addr, &mut data);
-                                        } else {
-                                            start_mem!();
-                                            mem_calls += 1;
-                                            latch_open!(addr, 5u32);
-                                            self.mem.load_bytes(addr, &mut data);
-                                        }
+                                        mem_calls += 1;
+                                        self.mem.load_bytes(addr, &mut data);
                                         let v = ld_frac8_value(data, self.regs.read(po.op.srcs[1]));
                                         if po.latency == 1 {
                                             lane[lane_n] = (po.op.dsts[0], v);
@@ -1879,14 +1605,6 @@ impl Machine {
                             }
                         };
                         if let Some(e) = err {
-                            // A fault while windows are open must leave
-                            // the machine exactly as the full path
-                            // would: stalls already charged this
-                            // instruction land in the model's
-                            // accumulator before the seam flush.
-                            if !mem_started && wstall > 0.0 {
-                                self.mem.add_stall(wstall);
-                            }
                             flush!();
                             return Err(match e {
                                 ExecError::MisalignedAccess { addr, size } => {
@@ -1908,12 +1626,9 @@ impl Machine {
                     }
                 } else {
                     // Guard-true memory-unit ops (cache control,
-                    // prefetch MMIO, super-stores) mutate state the
-                    // window defers — commit it and start full timing
-                    // before `execute` touches the model. Guard-false
-                    // ops have no memory effect on either engine.
+                    // prefetch MMIO, super-stores) are full-model calls
+                    // too; guard-false ones have no memory effect.
                     if po.mem && self.regs.guard(po.op.guard) {
-                        start_mem!();
                         mem_calls += 1;
                     }
                     let res = match execute(&po.op, &self.regs, &mut self.mem) {
@@ -1963,119 +1678,11 @@ impl Machine {
                 }
             }
 
-            let dstall = if mem_started {
-                self.mem.take_stall()
-            } else if wstall > 0.0 {
-                // Window-only instruction: every stall was integral CWB
-                // back-pressure counted locally, so the cast is exact.
-                wstall as u64
-            } else {
-                0
-            };
+            let dstall = if mem_active { self.mem.take_stall() } else { 0 };
             dstall_total += dstall;
             cycle += 1 + dstall;
             instrs += 1;
             fused += 1;
-
-            // Window-set maintenance, only on instructions that ran
-            // full-model activity and after their timing has fully
-            // settled (so the probes see the state the next instruction
-            // will). Maintenance is epoch-gated: if the data cache's
-            // shape epoch and prefetch quiescence are unchanged, no
-            // window line can have been disturbed and the per-slot
-            // probes are skipped entirely. The outer gate keeps the
-            // whole block off the path of full-model instructions with
-            // nothing to do — no windows open and no open attempts
-            // latched (the post-gate steady state).
-            if mem_started && (nwin > 0 || reopen[0] != WIN_NONE) {
-                let epoch = self.mem.dcache_epoch();
-                if wins_suspect && nwin > 0 {
-                    if !self.mem.prefetch_quiescent() {
-                        // A prefetch MMIO op armed the unit: quiescence
-                        // is gone, drop the whole set. Window hits on
-                        // this instruction already refused on the
-                        // inline quiescence check, so nothing else to
-                        // unwind.
-                        for b in wbase.iter_mut() {
-                            if *b != WIN_NONE {
-                                *b = WIN_NONE;
-                                window_revs += 1;
-                            }
-                        }
-                        nwin = 0;
-                    } else if epoch != win_epoch {
-                        // Structural mutation: re-validate every slot
-                        // in place. Lines never migrate between array
-                        // slots without another shape bump, so if the
-                        // captured index still holds the tag (valid,
-                        // not prefetched, fully resident) it is the
-                        // same line and the index stays good.
-                        for k in 0..NWIN {
-                            if wbase[k] != WIN_NONE
-                                && !self.mem.window_revalidate(widx[k], wbase[k])
-                            {
-                                wbase[k] = WIN_NONE;
-                                nwin -= 1;
-                                window_revs += 1;
-                            }
-                        }
-                    }
-                }
-                if epoch != win_epoch {
-                    no_open = WIN_NONE;
-                    win_epoch = epoch;
-                }
-                // Open attempts, latched from single-line full-path
-                // accesses above. A latched line can already be tracked
-                // (its slot scan was suspended when the access ran) —
-                // never open it twice.
-                for r in reopen {
-                    if r != WIN_NONE && r != no_open && !wbase.contains(&r) {
-                        if let Some(w) = self.mem.try_open_window(r) {
-                            debug_assert!(w.base == r && w.len == win_line);
-                            debug_assert_eq!(w.hit_stall_cycles, 0, "hit latency folds into +1");
-                            let slot = wbase.iter().position(|&b| b == WIN_NONE).unwrap_or(wnext);
-                            if wbase[slot] == WIN_NONE {
-                                nwin += 1;
-                            } else {
-                                // Round-robin replacement of a live
-                                // window. Hits applied their effects
-                                // immediately, so the victim slot
-                                // carries no state to unwind.
-                                window_revs += 1;
-                                wnext = (slot + 1) % NWIN;
-                            }
-                            wbase[slot] = r;
-                            widx[slot] = w.line_index;
-                        } else {
-                            no_open = r;
-                        }
-                    }
-                }
-                reopen = [WIN_NONE; 2];
-                // Churn gate: enough revocations to judge the run, and
-                // fewer than `HITS_PER_REV` hits bought per revocation
-                // — the open/re-validate traffic is costing more than
-                // the serviced hits save. Stop opening windows; the
-                // remaining accesses take the full path (identical
-                // effects, no window overhead).
-                const REV_JUDGE: u64 = 1024;
-                const HITS_PER_REV: u64 = 8;
-                // Engagement gate: enough full-path traffic to judge,
-                // and fewer than `HITS_PER_CALL` window hits bought per
-                // full-model call — the working set is not line-reuse
-                // shaped, so the scan/latch/maintenance tax on the
-                // dominant full path outweighs the serviced hits.
-                const CALL_JUDGE: u64 = 8192;
-                const HITS_PER_CALL: u64 = 2;
-                if wins_enabled
-                    && ((window_revs >= REV_JUDGE && window_hits < HITS_PER_REV * window_revs)
-                        || (mem_calls >= CALL_JUDGE && window_hits < HITS_PER_CALL * mem_calls))
-                {
-                    wins_enabled = false;
-                    close_windows!();
-                }
-            }
 
             if progress {
                 last_progress = cycle;
@@ -2138,8 +1745,7 @@ impl Machine {
     /// The unified run entry point: runs until the program halts or the
     /// budget is exhausted, honouring every option in `opts` — the
     /// watchdog override, the per-instruction observer and crash-report
-    /// capture. [`Machine::run`], [`Machine::run_reported`] and
-    /// [`Machine::run_traced`] are thin wrappers over this.
+    /// capture.
     ///
     /// Steady-state execution takes the fused superblock path
     /// ([`run_fused`](Machine::run_fused)) whenever nothing needs
@@ -2150,9 +1756,9 @@ impl Machine {
     /// loop. Both paths produce bit-identical architectural state,
     /// statistics and snapshots.
     ///
-    /// Unlike the wrappers this method does not return a `Result`: both
-    /// the success statistics and the typed error travel in the
-    /// [`RunOutcome`], alongside the optional post-mortem snapshot.
+    /// Both the success statistics and the typed error travel in the
+    /// [`RunOutcome`], alongside the optional post-mortem snapshot;
+    /// [`RunOutcome::into_result`] drops the snapshot.
     pub fn run_with(&mut self, mut opts: RunOptions<'_>) -> RunOutcome {
         if let Some(cycles) = opts.watchdog {
             self.set_watchdog(cycles);
@@ -2197,26 +1803,6 @@ impl Machine {
             _ => None,
         };
         RunOutcome { result, report }
-    }
-
-    /// Runs until the program halts or `max_cycles` elapse, invoking
-    /// `trace` after every instruction. Wrapper over
-    /// [`Machine::run_with`] with an observer attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CycleLimit`] when the budget is exhausted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_with(RunOptions::budget(n).observe(&mut f)) — the unified run entry point"
-    )]
-    pub fn run_traced(
-        &mut self,
-        max_cycles: u64,
-        mut trace: impl FnMut(&TraceRecord),
-    ) -> Result<RunStats, SimError> {
-        self.run_with(RunOptions::budget(max_cycles).observe(&mut trace))
-            .into_result()
     }
 
     /// Takes a post-mortem snapshot for `error`: machine position,
@@ -2456,44 +2042,6 @@ impl Machine {
         let mut s = reader.section(*b"MEMS")?;
         self.mem.load_state(&mut s)?;
         Ok(())
-    }
-
-    /// Runs until the program halts or `max_cycles` elapse, converting
-    /// any [`SimError`] into a full [`CrashReport`](crate::CrashReport)
-    /// snapshot. Wrapper over [`Machine::run_with`] with report capture.
-    ///
-    /// # Errors
-    ///
-    /// Returns the post-mortem snapshot of the typed error.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_with(RunOptions::budget(n).with_report()) — the unified run entry point"
-    )]
-    pub fn run_reported(
-        &mut self,
-        max_cycles: u64,
-    ) -> Result<RunStats, Box<crate::report::CrashReport>> {
-        let outcome = self.run_with(RunOptions::budget(max_cycles).with_report());
-        match outcome.result {
-            Ok(stats) => Ok(stats),
-            Err(e) => Err(outcome
-                .report
-                .unwrap_or_else(|| Box::new(self.crash_report(e)))),
-        }
-    }
-
-    /// Runs until the program halts or `max_cycles` elapse. Wrapper over
-    /// [`Machine::run_with`] with only a budget set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CycleLimit`] when the budget is exhausted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_with(RunOptions::budget(n)).into_result() — the unified run entry point"
-    )]
-    pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        self.run_with(RunOptions::budget(max_cycles)).into_result()
     }
 }
 
@@ -3049,7 +2597,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated entry points must keep delegating
     fn run_with_unifies_the_run_variants() {
         let build = || {
             let config = MachineConfig::tm3270();
@@ -3060,16 +2607,15 @@ mod tests {
             Machine::new(config, b.build().unwrap()).unwrap()
         };
 
-        // Plain run and run_with agree exactly.
+        // A plain run succeeds without a report.
         let mut plain = build();
-        let plain_stats = plain.run(1_000_000).unwrap();
-        let mut unified = build();
-        let outcome = unified.run_with(RunOptions::budget(1_000_000));
-        assert_eq!(outcome.result, Ok(plain_stats));
+        let outcome = plain.run_with(RunOptions::budget(1_000_000));
         assert!(outcome.report.is_none());
-        assert_eq!(unified.reg(r(4)), 42);
+        let plain_stats = outcome.into_result().unwrap();
+        assert_eq!(plain.reg(r(4)), 42);
 
-        // The observer sees every issued instruction.
+        // The observer sees every issued instruction, and observing
+        // changes no statistic.
         let mut traced = build();
         let mut seen = 0u64;
         let mut observer = |_rec: &TraceRecord| seen += 1;
@@ -3078,6 +2624,7 @@ mod tests {
             .into_result()
             .unwrap();
         assert_eq!(seen, stats.instrs);
+        assert_eq!(stats, plain_stats);
 
         // Budget exhaustion with report capture: the outcome carries both
         // the typed error and the snapshot.

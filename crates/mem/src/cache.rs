@@ -270,15 +270,6 @@ pub struct CacheArray {
     /// inside a few host cache lines. Kept in sync by every operation
     /// that changes a line's tag or validity.
     tags: Vec<u64>,
-    /// Structural-mutation epoch: bumped by every operation that changes
-    /// which lines are present or how valid they are (fill, refill
-    /// merge, allocation, invalidate, flush, snapshot restore) — never
-    /// by plain hits. While the epoch stands still, a line that was
-    /// resident, fully valid and not prefetch-marked provably still is,
-    /// which lets the fused engine re-validate its line-resident windows
-    /// with one counter compare instead of per-line probes. A search
-    /// hint like the memo: not serialized, no effect on simulated state.
-    shape: u64,
 }
 
 /// Aggregate cache statistics.
@@ -338,7 +329,6 @@ impl CacheArray {
             memo_idx: 0,
             mru_way: vec![0; geometry.sets() as usize],
             tags: vec![0; n],
-            shape: 0,
             geometry,
         }
     }
@@ -502,7 +492,6 @@ impl CacheArray {
     /// completion). All bytes become valid; returns the victim if a dirty
     /// line had to be evicted.
     pub fn fill(&mut self, addr: u32, prefetched: bool) -> Option<Victim> {
-        self.shape += 1;
         if let Some(i) = self.find(addr) {
             // Refill merge into a partially valid (allocated) line.
             self.lines[i].valid_bytes = self.full_mask;
@@ -533,7 +522,6 @@ impl CacheArray {
         if self.find(addr).is_some() {
             return None;
         }
-        self.shape += 1;
         let tag = self.tag_of(addr);
         let (slot, victim) = self.evict_slot(addr);
         self.tick += 1;
@@ -618,93 +606,10 @@ impl CacheArray {
         }
     }
 
-    /// The cache-side precondition of the line-resident access window
-    /// (`MemorySystem::try_open_window`): the line containing `addr` is
-    /// resident with *every* byte valid and its prefetched bit clear.
-    /// Returns the line's array index and dirty flag when eligible.
-    /// Read-only — no LRU, statistics, memo or MRU-hint effect — so a
-    /// failed open attempt is invisible. The index stays valid for as
-    /// long as the shape epoch does not move (lines never migrate
-    /// between slots except through structural mutations), letting the
-    /// window holder apply hit effects by index without re-probing.
-    ///
-    /// Full validity matters because a window access skips the per-byte
-    /// `covers` check (it must be a plain hit, never a partial hit),
-    /// and a clear prefetched bit because the first demand touch of a
-    /// prefetched line mutates the bit and the `prefetch_hits` counter.
-    pub fn window_probe(&self, addr: u32) -> Option<(u32, bool)> {
-        let i = self.probe(addr)?;
-        let line = &self.lines[i];
-        if !line.prefetched && line.valid_bytes == self.full_mask {
-            Some((i as u32, line.dirty))
-        } else {
-            None
-        }
-    }
-
-    /// The current structural-mutation epoch (see the `shape` field):
-    /// unchanged epoch ⟹ every line's presence, byte validity and
-    /// prefetched bit are unchanged.
-    #[inline]
-    pub fn shape_epoch(&self) -> u64 {
-        self.shape
-    }
-
-    /// Architectural effects of a window-serviced load hit on the line
-    /// at `index` (from [`window_probe`](Self::window_probe)): exactly
-    /// the [`lookup`](Self::lookup) hit path — recency tick, hit
-    /// count, line LRU — minus the probe and byte-coverage work the
-    /// window preconditions make redundant (the line is known resident
-    /// and fully valid, and its prefetched bit is known clear). The
-    /// probe memo and MRU-way hints are *not* refreshed: they are
-    /// search accelerators, not simulated state, and are reset rather
-    /// than serialized across snapshots.
-    ///
-    /// `index` is trusted without a probe — window service requires an
-    /// unchanged shape epoch, and lines never migrate between slots
-    /// without a shape bump.
-    #[inline]
-    pub fn window_hit_load(&mut self, index: u32) {
-        self.tick += 1;
-        self.stats.hits += 1;
-        self.lines[index as usize].lru = self.tick;
-    }
-
-    /// Architectural effects of a window-serviced store hit: the
-    /// [`lookup_write`](Self::lookup_write) hit path — a lookup half
-    /// and a write half, each advancing the recency tick, the line's
-    /// recency landing on the second — with the byte validation a
-    /// no-op on the fully valid mask the window precondition
-    /// guarantees. Same `index` contract as
-    /// [`window_hit_load`](Self::window_hit_load).
-    #[inline]
-    pub fn window_hit_store(&mut self, index: u32) {
-        self.tick += 2;
-        self.stats.hits += 1;
-        let line = &mut self.lines[index as usize];
-        line.lru = self.tick;
-        line.dirty = true;
-    }
-
-    /// Re-checks the window precondition for a line previously reported
-    /// at `index` by [`window_probe`](Self::window_probe), after a
-    /// shape-epoch move: still holding `base`'s tag (lines never
-    /// migrate between slots, so if the slot's tag matches, it is the
-    /// same line), fully valid, prefetched bit clear. Pure indexed
-    /// reads — no address probe, no hint refresh.
-    #[inline]
-    pub fn window_revalidate(&self, index: u32, base: u32) -> bool {
-        let i = index as usize;
-        self.tags[i] == Self::packed_tag(self.tag_of(base))
-            && !self.lines[i].prefetched
-            && self.lines[i].valid_bytes == self.full_mask
-    }
-
     /// Invalidates the line containing `addr` without copy-back
     /// (`dinvalid`). Returns whether a line was invalidated.
     pub fn invalidate(&mut self, addr: u32) -> bool {
         if let Some(i) = self.probe(addr) {
-            self.shape += 1;
             self.lines[i].valid = false;
             self.lines[i].dirty = false;
             self.tags[i] = 0;
@@ -719,7 +624,6 @@ impl CacheArray {
     /// valid dirty bytes to copy back, and invalidates the line.
     pub fn flush(&mut self, addr: u32) -> u32 {
         if let Some(i) = self.probe(addr) {
-            self.shape += 1;
             let bytes = if self.lines[i].dirty {
                 self.lines[i].valid_bytes.count()
             } else {
@@ -799,8 +703,6 @@ impl CacheArray {
         self.memo_base = NO_MEMO;
         self.memo_idx = 0;
         self.mru_way.fill(0);
-        // Restore replaces every line wholesale: a new epoch.
-        self.shape += 1;
         Ok(())
     }
 }

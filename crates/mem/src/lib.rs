@@ -41,4 +41,4 @@ mod system;
 pub use cache::{CacheArray, CacheGeometry, CacheStats, Lookup, Victim};
 pub use dram::{Dram, DramConfig, DramStats, Priority};
 pub use prefetch::{PrefetchStats, PrefetchUnit, Region, NUM_REGIONS};
-pub use system::{FullStats, LineWindow, MemConfig, MemStats, MemorySystem};
+pub use system::{FullStats, MemConfig, MemStats, MemorySystem};

@@ -115,18 +115,6 @@ impl PrefetchUnit {
         !self.queue.is_empty()
     }
 
-    /// Timing-quiescent: no region armed, nothing queued, nothing in
-    /// flight. While this holds, a demand access that hits the data
-    /// cache has *no* prefetch-side effects — the per-load observation
-    /// hook cannot match, the issue loop is a no-op, and no completion
-    /// can land — so the unit's state is guaranteed unchanged until a
-    /// prefetch-begin (region MMIO write) re-arms it. The line-resident
-    /// window (`MemorySystem::try_open_window`) requires this.
-    #[inline]
-    pub fn is_quiescent(&self) -> bool {
-        !self.has_in_flight() && !self.has_queued() && !self.any_region_active()
-    }
-
     /// Observes a demand load at `addr`; returns the prefetch candidate
     /// line base if one should be issued. `line` is the cache line size;
     /// `present` tells whether the candidate line is already in the cache.

@@ -127,39 +127,6 @@ pub struct MemStats {
     pub line_crossers: u64,
 }
 
-/// A revocable line-resident access window, returned by
-/// [`MemorySystem::try_open_window`]. While open, the holder may service
-/// loads and stores confined to `[base, base + len)` with raw flat-memory
-/// access plus the indexed hit shortcuts
-/// [`MemorySystem::window_hit_load`] /
-/// [`window_hit_store`](MemorySystem::window_hit_store), which apply
-/// the hit's full architectural effects immediately — nothing is
-/// deferred, so the model stays exact at every step. Any condition
-/// that could invalidate the preconditions — a structural cache
-/// mutation, prefetch activity, a snapshot restore — revokes the
-/// window (the holder re-validates against the shape epoch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineWindow {
-    /// Line base address (aligned to `len`).
-    pub base: u32,
-    /// Window length: the data-cache line size in bytes.
-    pub len: u32,
-    /// The line's slot in the cache array at open time. Valid while
-    /// the cache's shape epoch is unchanged — lines never migrate
-    /// between slots without a shape bump — so window hits address the
-    /// line directly instead of probing for it, and a revoke check is
-    /// an indexed tag compare
-    /// ([`window_revalidate`](MemorySystem::window_revalidate)).
-    pub line_index: u32,
-    /// Constant per-access stall of a hit under quiescence. Zero in
-    /// this model — cache hits are fully pipelined (§4.2) — but carried
-    /// explicitly so the holder's accounting stays honest if a hit
-    /// latency is ever introduced.
-    pub hit_stall_cycles: u64,
-    /// Whether the line was already dirty when the window opened.
-    pub dirty: bool,
-}
-
 /// The composed memory system.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -298,173 +265,6 @@ impl MemorySystem {
             0
         } else {
             ceil_u64(s)
-        }
-    }
-
-    /// Attempts to open a line-resident access window over the cache
-    /// line containing `addr`: the fused engine's licence to service
-    /// same-line loads and stores with raw [`FlatMemory`] access plus
-    /// the indexed hit shortcuts
-    /// [`window_hit_load`](Self::window_hit_load) /
-    /// [`window_hit_store`](Self::window_hit_store), skipping the
-    /// probe, segmentation and prefetch-observation work the window
-    /// preconditions prove to be no-ops. A holder may keep several
-    /// windows open at once (a window *set*).
-    ///
-    /// A window opens only when timing is *provably* inert for same-line
-    /// hits:
-    ///
-    /// * the prefetch unit is quiescent (no region armed, nothing
-    ///   queued, nothing in flight) — so the per-load observation hook,
-    ///   the issue loop and completion absorption are all no-ops, and
-    ///   `begin_instr` degenerates to the `set_now` the fused engine
-    ///   already performs;
-    /// * the line is resident with every byte valid and its prefetched
-    ///   bit clear (`CacheArray::window_probe`) — so every same-line
-    ///   access is a plain hit with no demand fill, no refill merge and
-    ///   no prefetch-hit accounting.
-    ///
-    /// Under those conditions a same-line hit makes no DRAM request, so
-    /// DRAM-channel state cannot diverge; the only remaining timing
-    /// state is the cache write buffer, which
-    /// [`window_hit_store`](Self::window_hit_store) drives against the
-    /// real occupancy fields. The probe is side-effect free: a refused
-    /// or unused window leaves no trace.
-    pub fn try_open_window(&self, addr: u32) -> Option<LineWindow> {
-        if !self.prefetch.is_quiescent() {
-            return None;
-        }
-        let (line_index, dirty) = self.dcache.window_probe(addr)?;
-        let geom = self.config.dcache;
-        Some(LineWindow {
-            base: geom.line_base(addr),
-            len: geom.line,
-            line_index,
-            hit_stall_cycles: 0,
-            dirty,
-        })
-    }
-
-    /// Timing and statistics of a window-serviced load hit, applied
-    /// directly to the line at `index` (the
-    /// [`LineWindow::line_index`] captured at open time): bit-identical
-    /// to [`access_load`](Self::access_load) of a same-line hit under
-    /// window preconditions — load count, cache recency/hit/LRU — with
-    /// the probe, byte-coverage, segmentation and prefetch-observation
-    /// work all provably no-ops skipped.
-    #[inline]
-    pub fn window_hit_load(&mut self, index: u32) {
-        self.stats.loads += 1;
-        self.dcache.window_hit_load(index);
-    }
-
-    /// Timing and statistics of a window-serviced store hit:
-    /// bit-identical to [`access_store`](Self::access_store) of a
-    /// same-line hit under window preconditions, including the write
-    /// buffer's drain-and-enqueue against the real occupancy state.
-    /// `extra_stall` is stall time the caller has charged this
-    /// instruction but not yet pushed into the model (the fused
-    /// engine's window-local stall accumulator) — the drain clock runs
-    /// at `now + stall + extra_stall`, exactly where the full path's
-    /// would. Returns `true` when the write buffer back-pressured,
-    /// costing one stall cycle the *caller* must charge (via
-    /// [`add_stall`](Self::add_stall) when full timing is active this
-    /// instruction, or its local accumulator otherwise); the
-    /// `data_stall_cycles` statistic is counted here either way.
-    #[inline]
-    pub fn window_hit_store(&mut self, index: u32, extra_stall: f64) -> bool {
-        self.stats.stores += 1;
-        self.dcache.window_hit_store(index);
-        let t = self.now + self.stall + extra_stall;
-        let drained = (t - self.cwb_last).max(0.0) * 2.0;
-        self.cwb_pending = (self.cwb_pending - drained).max(0.0);
-        self.cwb_last = t;
-        let mut backpressure = false;
-        if self.cwb_pending >= f64::from(self.config.cwb_entries) {
-            self.stats.data_stall_cycles += 1.0;
-            self.cwb_pending -= 1.0;
-            backpressure = true;
-        }
-        self.cwb_pending += 1.0;
-        backpressure
-    }
-
-    /// Re-checks a window's precondition after a data-cache structural
-    /// mutation, by index — see `CacheArray::window_revalidate`. The
-    /// caller separately re-checks prefetch quiescence.
-    #[inline]
-    pub fn window_revalidate(&self, index: u32, base: u32) -> bool {
-        self.dcache.window_revalidate(index, base)
-    }
-
-    /// The data cache's structural-mutation epoch (see
-    /// `CacheArray::shape_epoch`): if this and
-    /// [`prefetch_quiescent`](Self::prefetch_quiescent) are unchanged
-    /// across full-model activity, every open window's preconditions
-    /// provably still hold and per-line re-validation can be skipped.
-    #[inline]
-    pub fn dcache_epoch(&self) -> u64 {
-        self.dcache.shape_epoch()
-    }
-
-    /// Whether the prefetch unit is quiescent (no region armed, nothing
-    /// queued, nothing in flight) — the prefetch-side half of the
-    /// window-open precondition, exposed for cheap re-validation.
-    #[inline]
-    pub fn prefetch_quiescent(&self) -> bool {
-        self.prefetch.is_quiescent()
-    }
-
-    /// Adds already-attributed stall cycles to the current instruction's
-    /// stall accumulator, so a window-servicing instruction that later
-    /// falls back to the full path carries its window-side CWB stalls
-    /// into the same [`take_stall`](Self::take_stall). The statistics
-    /// side is *not* touched — window stalls are charged to
-    /// `data_stall_cycles` once, at commit.
-    #[inline]
-    pub fn add_stall(&mut self, cycles: f64) {
-        self.stall += cycles;
-    }
-
-    /// Raw flat-memory read of a window-serviced load:
-    /// [`load_le`](DataMemory::load_le) minus the timing model. Legal
-    /// only for accesses confined to an open [`LineWindow`], paired
-    /// with [`window_hit_load`](Self::window_hit_load) for the timing
-    /// and statistics effects.
-    #[inline]
-    pub fn window_load_le(&self, addr: u32, bytes: usize) -> u32 {
-        match bytes {
-            1 => u32::from(self.flat.read_fixed::<1>(addr)[0]),
-            2 => u32::from(u16::from_le_bytes(self.flat.read_fixed::<2>(addr))),
-            4 => u32::from_le_bytes(self.flat.read_fixed::<4>(addr)),
-            _ => {
-                let mut buf = [0u8; 4];
-                self.flat.read_into(addr, &mut buf[..bytes]);
-                u32::from_le_bytes(buf)
-            }
-        }
-    }
-
-    /// Raw flat-memory fill of `buf` for a window-serviced multi-byte
-    /// load ([`load_bytes`](DataMemory::load_bytes) minus the timing
-    /// model); same contract as [`window_load_le`](Self::window_load_le).
-    #[inline]
-    pub fn window_load_bytes(&self, addr: u32, buf: &mut [u8]) {
-        self.flat.read_into(addr, buf);
-    }
-
-    /// Raw flat-memory write of a window-serviced store:
-    /// [`store_le`](DataMemory::store_le) minus the timing model; same
-    /// contract as [`window_load_le`](Self::window_load_le), paired
-    /// with [`window_hit_store`](Self::window_hit_store).
-    #[inline]
-    pub fn window_store_le(&mut self, addr: u32, bytes: usize, value: u32) {
-        let buf = value.to_le_bytes();
-        match bytes {
-            1 => self.flat.write_fixed::<1>(addr, [buf[0]]),
-            2 => self.flat.write_fixed::<2>(addr, [buf[0], buf[1]]),
-            4 => self.flat.write_fixed::<4>(addr, buf),
-            _ => self.flat.write_from(addr, &buf[..bytes]),
         }
     }
 

@@ -115,8 +115,38 @@ fn snapshots_round_trip_through_hex() {
     assert_eq!(restored.reg_digest(), m.reg_digest());
 }
 
-/// Truncating a snapshot at any point yields a typed error — never a
-/// panic, never an accepted restore.
+/// Byte offsets worth cutting or flipping in a `TM3S` blob, found by
+/// walking its framing: the 8-byte header, one `tag(4) + len(8)` frame
+/// per section, the 8-byte trailer. Covers every byte of the first 128
+/// and the last 16, every section boundary ±16 bytes, and a fixed-seed
+/// sample of 256 interior offsets — linear cost instead of a dense scan
+/// of a multi-megabyte blob. Sorted, deduplicated, all `< bytes.len()`.
+fn framing_positions(bytes: &[u8]) -> Vec<usize> {
+    let n = bytes.len();
+    let body = n - 8;
+    let mut boundaries = vec![0, 8, body, n];
+    let mut at = 8;
+    while at + 12 <= body {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        boundaries.extend([at + 4, at + 12]);
+        at += 12 + len;
+        boundaries.push(at);
+    }
+    assert_eq!(at, body, "section frames tile the body exactly");
+
+    let mut positions: Vec<usize> = (0..128).chain(n.saturating_sub(16)..n).collect();
+    for b in boundaries {
+        positions.extend(b.saturating_sub(16)..(b + 17).min(n));
+    }
+    let mut rng = tm3270_fault::SmallRng::new(0x7e35);
+    positions.extend((0..256).map(|_| rng.index(n)));
+    positions.sort_unstable();
+    positions.dedup();
+    positions
+}
+
+/// Truncating a snapshot at any framing-relevant point yields a typed
+/// error — never a panic, never an accepted restore.
 #[test]
 fn every_truncation_is_rejected_with_a_typed_error() {
     let config = &MachineConfig::evaluation_suite()[0];
@@ -126,8 +156,7 @@ fn every_truncation_is_rejected_with_a_typed_error() {
     let bytes = m.snapshot().into_bytes();
 
     let mut target = build_cell(workload, config, false);
-    let cuts = (0..bytes.len()).filter(|&len| len < 128 || len % 97 == 0 || len + 16 > bytes.len());
-    for len in cuts {
+    for len in framing_positions(&bytes) {
         let cut = Snapshot::from_bytes(bytes[..len].to_vec());
         let err = target
             .restore(&cut)
@@ -138,7 +167,8 @@ fn every_truncation_is_rejected_with_a_typed_error() {
     }
 }
 
-/// Flipping any byte trips the checksum (or an earlier framing check).
+/// Flipping a byte anywhere in the framing (or a sampled payload byte)
+/// trips the checksum or an earlier framing check.
 #[test]
 fn corrupted_snapshots_fail_the_checksum() {
     let config = &MachineConfig::evaluation_suite()[0];
@@ -148,7 +178,7 @@ fn corrupted_snapshots_fail_the_checksum() {
     let bytes = m.snapshot().into_bytes();
 
     let mut target = build_cell(workload, config, false);
-    for at in (0..bytes.len()).step_by(211) {
+    for at in framing_positions(&bytes) {
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 0x20;
         let err = target
