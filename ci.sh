@@ -67,12 +67,13 @@ echo "== simulator-throughput smoke (repro_simspeed vs golden registry, both con
 # registry order, positive throughput) — a silently dropped workload
 # fails CI here. Both benchmark configs must produce a valid document.
 # Config D also enforces the pinned instruction/cycle goldens inside
-# --check-golden and a throughput floor. The floor is sized to separate
-# engines, not to police host speed: the fused superblock engine
-# measures ~22 geomean sim MIPS idle and stays above 16 under ambient
-# load, while the per-instruction fallback engine measures ~11 — so a
-# drop below 14 means the fused path stopped engaging (a real
-# regression), not host variance.
+# --check-golden and a throughput floor. The floor is sized to catch the
+# engine losing its fast paths, not to police host speed: it measures
+# ~22 geomean sim MIPS idle and stays above 16 under ambient load,
+# while a per-instruction loop without them (every op through the
+# generic `execute`, the full fetch window probed per instruction, the
+# shape of the removed fallback engine) measured ~11 on the same host —
+# so a drop below 14 is a real regression, not host variance.
 speed_json_d=$(cargo run --release -q -p tm3270-bench --bin repro_simspeed -- \
   --repeats 3 --json --check-golden --min-geomean 14 --config d)
 speed_json_a=$(cargo run --release -q -p tm3270-bench --bin repro_simspeed -- \
@@ -89,31 +90,6 @@ echo "$speed_json_d" | grep -q '"geomean_sim_mips"' || {
   echo "FAIL: repro_simspeed --json missing geomean_sim_mips"; exit 1; }
 echo "$speed_json_a" | grep -q '"geomean_sim_mips"' || {
   echo "FAIL: repro_simspeed TM3260 document missing geomean_sim_mips"; exit 1; }
-
-echo "== engine equivalence smoke (fused vs forced-fallback, three kernels) =="
-# The fused superblock engine and the cycle-accurate fallback must agree
-# on every simulated statistic; only wall-clock (and thus the throughput
-# columns) and the mem_calls engine-telemetry counter (the fallback
-# engine does not count) may differ. Strip those fields and byte-diff
-# the rest. The three kernels cover a store stream (memset), scattered
-# non-aligned reads (mpeg2_a) and a compute-bound loop (filter).
-strip_timing() {
-  sed -E 's/"wall_ms":[0-9.eE+-]+/"wall_ms":_/g;
-          s/"sim_mips":[0-9.eE+-]+/"sim_mips":_/g;
-          s/"sim_mcps":[0-9.eE+-]+/"sim_mcps":_/g;
-          s/"geomean_sim_mips":[0-9.eE+-]+/"geomean_sim_mips":_/g;
-          s/"mem_calls":[0-9]+/"mem_calls":_/g'
-}
-cargo run --release -q -p tm3270-bench --bin repro_simspeed -- \
-  --workload memset --workload mpeg2_a --workload filter \
-  --repeats 1 --json --config d \
-  | strip_timing > /tmp/tm3270_speed_fused.json
-cargo run --release -q -p tm3270-bench --bin repro_simspeed -- \
-  --workload memset --workload mpeg2_a --workload filter \
-  --repeats 1 --json --config d \
-  --force-fallback | strip_timing > /tmp/tm3270_speed_fallback.json
-diff /tmp/tm3270_speed_fused.json /tmp/tm3270_speed_fallback.json || {
-  echo "FAIL: fused and forced-fallback engines disagree on simulated stats"; exit 1; }
 
 echo "== profiler smoke (memset, JSON + chrome trace) =="
 profile_json=$(cargo run --release -q -p tm3270-bench --bin repro_profile -- \

@@ -4,7 +4,7 @@
 //! ```text
 //! repro_simspeed [--workload NAME]... [--config a|b|c|d|tm3270|tm3260]
 //!                [--repeats N] [--json] [--list] [--check-golden]
-//!                [--min-geomean MIPS] [--force-fallback]
+//!                [--min-geomean MIPS]
 //! ```
 //!
 //! With no `--workload` the eleven Table 5 golden kernels are measured.
@@ -31,9 +31,7 @@ use std::process::ExitCode;
 
 use tm3270_bench::cli::Spec;
 use tm3270_bench::profile::{find_workload, golden_names, workloads};
-use tm3270_bench::simspeed::{
-    geomean_mips, measure_kernel_with, speed_json, speed_report, SpeedRow,
-};
+use tm3270_bench::simspeed::{geomean_mips, measure_kernel, speed_json, speed_report, SpeedRow};
 use tm3270_core::MachineConfig;
 
 struct Args {
@@ -43,7 +41,6 @@ struct Args {
     json: bool,
     check_golden: bool,
     min_geomean: Option<f64>,
-    force_fallback: bool,
 }
 
 fn spec() -> Spec {
@@ -69,10 +66,6 @@ fn spec() -> Spec {
             "--min-geomean",
             "MIPS",
             "fail if geomean sim MIPS falls below this bound",
-        )
-        .switch(
-            "--force-fallback",
-            "run on the cycle-accurate fallback engine, not the fused one",
         )
 }
 
@@ -102,7 +95,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         json: parsed.has("--json"),
         check_golden: parsed.has("--check-golden"),
         min_geomean: parsed.parsed("--min-geomean")?,
-        force_fallback: parsed.has("--force-fallback"),
     }))
 }
 
@@ -128,12 +120,7 @@ fn main() -> ExitCode {
             eprintln!("repro_simspeed: unknown workload {name} (try --list)");
             return ExitCode::from(2);
         };
-        match measure_kernel_with(
-            kernel.as_ref(),
-            &args.config,
-            args.repeats,
-            args.force_fallback,
-        ) {
+        match measure_kernel(kernel.as_ref(), &args.config, args.repeats) {
             Ok(row) => rows.push(row),
             Err(e) => {
                 eprintln!("repro_simspeed: {name}: {e}");

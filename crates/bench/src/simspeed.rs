@@ -38,8 +38,7 @@ pub struct SpeedRow {
     /// Full `MemorySystem` calls the fused engine made (per run):
     /// demand accesses and cache-control ops. `mem_calls / instrs` is the
     /// calls-per-instruction cost metric of EXPERIMENTS.md §Simulator
-    /// throughput. Zero on `--force-fallback` runs (the fallback engine
-    /// does not count).
+    /// throughput.
     pub mem_calls: u64,
 }
 
@@ -69,24 +68,6 @@ pub fn measure_kernel(
     config: &MachineConfig,
     repeats: u32,
 ) -> Result<SpeedRow, KernelError> {
-    measure_kernel_with(kernel, config, repeats, false)
-}
-
-/// [`measure_kernel`] with an engine override: `force_fallback` routes
-/// the runs through the cycle-accurate fallback loop instead of the
-/// fused superblock engine (see [`Machine::set_force_fallback`]). The
-/// simulated instruction/cycle counts must not depend on the engine —
-/// only the wall clock may differ.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn measure_kernel_with(
-    kernel: &dyn Kernel,
-    config: &MachineConfig,
-    repeats: u32,
-    force_fallback: bool,
-) -> Result<SpeedRow, KernelError> {
     let program = kernel.build(&config.issue)?;
     let mut best = f64::INFINITY;
     let mut instrs = 0u64;
@@ -95,7 +76,6 @@ pub fn measure_kernel_with(
     for rep in 0..repeats.max(1) {
         let start = Instant::now();
         let mut machine = Machine::new(config.clone(), program.clone())?;
-        machine.set_force_fallback(force_fallback);
         kernel.setup(&mut machine);
         let stats = machine
             .run_with(RunOptions::budget(kernel.cycle_budget()))

@@ -13,12 +13,12 @@ use crate::config::MachineConfig;
 use crate::snapshot::Snapshot;
 use std::collections::VecDeque;
 use tm3270_encode::{
-    decode_program_detailed, encode_program, superblocks, DecodeFault, EncodedProgram,
-    SnapshotError, SnapshotReader, SnapshotWriter,
+    decode_program_detailed, encode_program, DecodeFault, EncodedProgram, SnapshotError,
+    SnapshotReader, SnapshotWriter,
 };
 use tm3270_isa::{
     execute, ld_frac8_value, pure_fn, super_ld32_words, value::sign_extend, DataMemory, ExecError,
-    ExecResult, Op, Opcode, Program, PureFn, Reg, RegFile,
+    Op, Opcode, Program, PureFn, Reg, RegFile,
 };
 use tm3270_mem::{FullStats, MemorySystem, Region};
 use tm3270_obs::{SinkHandle, StallCause, TraceEvent};
@@ -105,9 +105,29 @@ pub enum SimError {
         /// Instruction index of the offending branch.
         at: usize,
     },
+    /// A taken branch's delay slots ran past the last instruction (the
+    /// builder always pads them; hand-built or decoded programs might
+    /// not).
+    DelaySlotPastEnd {
+        /// Instruction index the next delay slot would issue from.
+        at: usize,
+    },
 }
 
 impl SimError {
+    /// The error of an operation at instruction `pc` that `execute`
+    /// rejected.
+    fn exec(pc: usize, e: ExecError) -> SimError {
+        match e {
+            ExecError::MisalignedAccess { addr, size } => {
+                SimError::MisalignedAccess { pc, addr, size }
+            }
+            ExecError::OutOfBoundsAccess { addr, size } => {
+                SimError::OutOfBoundsAccess { pc, addr, size }
+            }
+        }
+    }
+
     /// A short stable name for the variant (campaign tallies, reports).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -120,6 +140,7 @@ impl SimError {
             SimError::NoProgress { .. } => "NoProgress",
             SimError::CycleLimit { .. } => "CycleLimit",
             SimError::BranchInDelaySlot { .. } => "BranchInDelaySlot",
+            SimError::DelaySlotPastEnd { .. } => "DelaySlotPastEnd",
         }
     }
 }
@@ -160,6 +181,12 @@ impl std::fmt::Display for SimError {
             }
             SimError::BranchInDelaySlot { at } => {
                 write!(f, "branch inside delay slots at instruction {at}")
+            }
+            SimError::DelaySlotPastEnd { at } => {
+                write!(
+                    f,
+                    "delay slot past the end of the program at instruction {at}"
+                )
             }
         }
     }
@@ -231,7 +258,8 @@ impl RunStats {
     }
 }
 
-/// One traced VLIW instruction execution (see [`RunOptions::observe`]).
+/// One executed VLIW instruction, as kept in the crash-report ring (see
+/// [`Machine::recent_trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Cycle at which the instruction issued (after front-end stalls).
@@ -255,15 +283,11 @@ pub struct TraceRecord {
 ///
 /// ```
 /// use tm3270_core::RunOptions;
-/// let mut seen = 0u64;
-/// let mut on_instr = |_rec: &tm3270_core::TraceRecord| seen += 1;
-/// let opts = RunOptions::budget(1_000_000)
-///     .watchdog(10_000)
-///     .with_report()
-///     .observe(&mut on_instr);
+/// let opts = RunOptions::budget(1_000_000).watchdog(10_000).with_report();
 /// # let _ = opts;
 /// ```
-pub struct RunOptions<'a> {
+#[derive(Debug, Clone, Copy)]
+pub struct RunOptions {
     /// Cycle budget: the run ends in [`SimError::CycleLimit`] when the
     /// machine's cycle counter reaches it before the program halts.
     pub budget: u64,
@@ -273,61 +297,30 @@ pub struct RunOptions<'a> {
     /// Capture a [`CrashReport`](crate::CrashReport) snapshot into
     /// [`RunOutcome::report`] when the run fails.
     pub report: bool,
-    /// Per-instruction observer, invoked with every executed
-    /// [`TraceRecord`].
-    pub trace: Option<&'a mut dyn FnMut(&TraceRecord)>,
 }
 
-impl std::fmt::Debug for RunOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("budget", &self.budget)
-            .field("watchdog", &self.watchdog)
-            .field("report", &self.report)
-            .field("trace", &self.trace.is_some())
-            .finish()
-    }
-}
-
-impl RunOptions<'static> {
+impl RunOptions {
     /// Options with cycle budget `budget` and everything else off.
-    pub fn budget(budget: u64) -> RunOptions<'static> {
+    pub fn budget(budget: u64) -> RunOptions {
         RunOptions {
             budget,
             watchdog: None,
             report: false,
-            trace: None,
         }
     }
-}
 
-impl<'a> RunOptions<'a> {
     /// Sets the livelock watchdog for this run (and subsequent ones, like
     /// [`Machine::set_watchdog`]).
-    pub fn watchdog(mut self, cycles: u64) -> RunOptions<'a> {
+    pub fn watchdog(mut self, cycles: u64) -> RunOptions {
         self.watchdog = Some(cycles);
         self
     }
 
     /// Requests a [`CrashReport`](crate::CrashReport) snapshot in
     /// [`RunOutcome::report`] if the run fails.
-    pub fn with_report(mut self) -> RunOptions<'a> {
+    pub fn with_report(mut self) -> RunOptions {
         self.report = true;
         self
-    }
-
-    /// Attaches a per-instruction observer, invoked with every executed
-    /// [`TraceRecord`].
-    pub fn observe<'b>(self, trace: &'b mut dyn FnMut(&TraceRecord)) -> RunOptions<'b>
-    where
-        'a: 'b,
-    {
-        RunOptions {
-            budget: self.budget,
-            watchdog: self.watchdog,
-            report: self.report,
-            trace: Some(trace),
-        }
     }
 }
 
@@ -511,140 +504,15 @@ impl IssuePlan {
     }
 }
 
-/// Precomputed metadata of one superblock: a maximal straight-line run
-/// of VLIW instructions between jump-target boundaries (see
-/// [`tm3270_encode::BlockSpan`]), annotated at machine construction
-/// with everything the fused steady-state loop and the profiling tools
-/// need — per-block register read/write sets, issue-slot and latency
-/// aggregates, the fetch-chunk span and the memory-op map.
-///
-/// Control can only *enter* a block at `head` (jumps land exclusively
-/// on targets); it can leave anywhere, including by delay slots that
-/// straddle the boundary into the following block. Available via
-/// [`Machine::superblock_info`]; purely descriptive — mutating nothing,
-/// observing nothing at run time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperblockInfo {
-    /// First VLIW instruction of the block (a jump target, or 0).
-    pub head: usize,
-    /// One past the last instruction of the block.
-    pub end: usize,
-    /// Micro-ops in the block (guard-false ops included).
-    pub ops: u32,
-    /// Occupied issue slots (two-slot super-ops count both slots).
-    pub slots: u32,
-    /// Operations on the load or store units — the block's memory-op
-    /// count. Their timing depends on `mem` state, so instructions
-    /// carrying them always take the generic dispatch path.
-    pub mem_ops: u32,
-    /// Jump operations in the block.
-    pub jumps: u32,
-    /// Largest writeback latency of any op in the block: the in-flight
-    /// result window a whole-block commit has to respect.
-    pub max_latency: u8,
-    /// First 32-byte-aligned fetch chunk the block touches.
-    pub first_chunk: u32,
-    /// Last 32-byte-aligned fetch chunk the block touches.
-    pub last_chunk: u32,
-    /// 128-bit set of registers the block reads (guards and sources).
-    pub reg_reads: [u64; 2],
-    /// 128-bit set of registers the block writes (destinations).
-    pub reg_writes: [u64; 2],
-    /// VLIW instruction indices (absolute) carrying at least one
-    /// memory-unit op — the block's memory-op map.
-    pub mem_pcs: Vec<u32>,
-}
-
-impl SuperblockInfo {
-    /// Number of VLIW instructions in the block — also the block's
-    /// minimum cycle cost (one issue per cycle when nothing stalls).
-    pub fn len(&self) -> usize {
-        self.end - self.head
-    }
-
-    /// Whether the block is empty (never true for discovered blocks).
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.head
-    }
-
-    /// Whether the block reads register `r` (as a source or guard).
-    pub fn reads_reg(&self, r: Reg) -> bool {
-        self.reg_reads[(r.index() >> 6) & 1] >> (r.index() & 63) & 1 == 1
-    }
-
-    /// Whether the block writes register `r`.
-    pub fn writes_reg(&self, r: Reg) -> bool {
-        self.reg_writes[(r.index() >> 6) & 1] >> (r.index() & 63) & 1 == 1
-    }
-}
-
-/// Lowers the discovered block spans into [`SuperblockInfo`] records by
-/// aggregating over the already-lowered issue plan.
-fn lower_superblocks(program: &Program, plan: &IssuePlan) -> Vec<SuperblockInfo> {
-    superblocks(program)
-        .into_iter()
-        .map(|span| {
-            let mut info = SuperblockInfo {
-                head: span.head,
-                end: span.end,
-                ops: 0,
-                slots: 0,
-                mem_ops: 0,
-                jumps: 0,
-                max_latency: 0,
-                first_chunk: plan.instrs[span.head].first_chunk,
-                last_chunk: plan.instrs[span.end - 1].last_chunk,
-                reg_reads: [0; 2],
-                reg_writes: [0; 2],
-                mem_pcs: Vec::new(),
-            };
-            let read = |info: &mut SuperblockInfo, r: Reg| {
-                info.reg_reads[(r.index() >> 6) & 1] |= 1u64 << (r.index() & 63);
-            };
-            for pc in span.head..span.end {
-                let PlannedInstr { start, end, .. } = plan.instrs[pc];
-                let mut has_mem = false;
-                for po in &plan.ops[start as usize..end as usize] {
-                    info.ops += 1;
-                    info.slots += if po.op.opcode.is_two_slot() { 2 } else { 1 };
-                    info.max_latency = info.max_latency.max(po.latency);
-                    if po.is_jump {
-                        info.jumps += 1;
-                    }
-                    if po.op.opcode.is_mem() {
-                        info.mem_ops += 1;
-                        has_mem = true;
-                    }
-                    read(&mut info, po.op.guard);
-                    for &r in po.op.sources() {
-                        read(&mut info, r);
-                    }
-                    for &r in po.op.dests() {
-                        info.reg_writes[(r.index() >> 6) & 1] |= 1u64 << (r.index() & 63);
-                    }
-                }
-                if has_mem {
-                    info.mem_pcs.push(pc as u32);
-                }
-            }
-            info
-        })
-        .collect()
-}
-
-/// Fused-engine telemetry: how many VLIW instructions ran on the fused
-/// superblock path versus the cycle-accurate fallback path (see
-/// [`Machine::engine_telemetry`]). Advisory counters — they are not part
-/// of [`RunStats`], not serialized into snapshots, and two runs that
-/// split the work differently between the paths still produce identical
-/// architectural results.
+/// Engine telemetry (see [`Machine::engine_telemetry`]). Advisory
+/// counters — they are not part of [`RunStats`] and not serialized into
+/// snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineTelemetry {
-    /// Instructions executed by the fused dispatch loop.
+    /// Instructions executed by the fused dispatch loop. Every run path
+    /// (traced, decoded-image and single-stepped ones included) takes
+    /// that loop, so this equals the instructions issued on the machine.
     pub fused_instrs: u64,
-    /// Instructions executed by `step_record` (sink attached, observer
-    /// attached, untrusted image, or explicit single-stepping).
-    pub fallback_instrs: u64,
     /// Demand accesses and cache-control operations the fused loop
     /// routed through the full `MemorySystem` model (one per guarded
     /// memory-unit op taking the `load_le`/`store_le`/`execute` path).
@@ -726,10 +594,7 @@ pub struct Machine {
     cycle: u64,
     /// The predecoded execution cache of `program` (see [`IssuePlan`]).
     plan: IssuePlan,
-    /// Per-superblock metadata precomputed at construction (see
-    /// [`SuperblockInfo`]).
-    blocks: Vec<SuperblockInfo>,
-    /// Fused/fallback instruction counters (see [`EngineTelemetry`]).
+    /// Engine counters (see [`EngineTelemetry`]).
     telemetry: EngineTelemetry,
     /// In-flight register results, bucketed by landing instruction slot
     /// (see [`WriteRing`]).
@@ -758,15 +623,8 @@ pub struct Machine {
     /// scheduler invariants (≤5 register writebacks per cycle) may be
     /// asserted, or from an arbitrary decoded image
     /// ([`Machine::from_image`]) where they may legitimately not hold.
-    /// Checked by debug-build asserts (release builds skip the
-    /// write-port accounting), and by [`run_with`](Machine::run_with) to
-    /// keep fault-injected images off the fused dispatch path.
+    /// Read only by a debug-build assert in `commit_writes`.
     trusted_schedule: bool,
-    /// Diagnostic override: route every run through the cycle-accurate
-    /// fallback loop even when the fused path would be eligible. Set by
-    /// [`Machine::set_force_fallback`]; never serialized — it changes
-    /// which engine executes, not what it computes.
-    force_fallback: bool,
 }
 
 impl Machine {
@@ -810,13 +668,11 @@ impl Machine {
             "writeback ring too small for the issue model"
         );
         let plan = IssuePlan::lower(&program, &image, &config.issue);
-        let blocks = lower_superblocks(&program, &plan);
         Machine {
             config,
             program,
             image,
             plan,
-            blocks,
             telemetry: EngineTelemetry::default(),
             regs: RegFile::new(),
             mem,
@@ -849,18 +705,7 @@ impl Machine {
             trace_ring: VecDeque::with_capacity(ring_cap),
             sink: SinkHandle::disabled(),
             trusted_schedule,
-            force_fallback: false,
         }
-    }
-
-    /// Forces every subsequent run through the cycle-accurate fallback
-    /// loop ([`step_record`](Machine::step_record)) even when the fused
-    /// superblock engine would be eligible. Both engines are
-    /// bit-identical by contract; this exists so tests and CI can
-    /// actually exercise that contract (and so regressions in either
-    /// engine can be bisected against the other).
-    pub fn set_force_fallback(&mut self, on: bool) {
-        self.force_fallback = on;
     }
 
     /// Attaches a trace sink: pipeline events (instruction issue, op
@@ -932,17 +777,9 @@ impl Machine {
         &self.program
     }
 
-    /// Per-superblock metadata precomputed at construction: block spans,
-    /// register read/write sets, issue-slot/latency aggregates,
-    /// fetch-chunk spans and the memory-op map (see [`SuperblockInfo`]).
-    /// Sorted by block head; covers every instruction exactly once.
-    pub fn superblock_info(&self) -> &[SuperblockInfo] {
-        &self.blocks
-    }
-
-    /// How many instructions ran fused versus on the cycle-accurate
-    /// fallback path (see [`EngineTelemetry`]). Counts accumulate across
-    /// runs on this machine; they are advisory and never snapshotted.
+    /// Engine counters (see [`EngineTelemetry`]). Counts accumulate
+    /// across runs on this machine; they are advisory and never
+    /// snapshotted.
     pub fn engine_telemetry(&self) -> EngineTelemetry {
         self.telemetry
     }
@@ -1041,46 +878,56 @@ impl Machine {
         self.pc >= self.program.instrs.len() && self.pending_branch.is_none()
     }
 
-    /// Executes one VLIW instruction.
+    /// Executes one VLIW instruction: a run with a budget one cycle
+    /// ahead, which stops after the first instruction because every
+    /// instruction advances the cycle counter by at least one. A no-op on
+    /// a halted machine. Trace events stay staged in the sink's buffer
+    /// until it is flushed.
     ///
     /// # Errors
     ///
     /// See [`SimError`].
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.step_record().map(|_| ())
+        let budget = self.cycle.saturating_add(1);
+        if self.sink.enabled() {
+            self.run_fused::<true>(budget)
+        } else {
+            self.run_fused::<false>(budget)
+        }
     }
 
     /// Outlined trace emission for one dispatched operation (the
     /// `OpDispatch` event, plus `BranchResolve` for jumps). Kept out of
-    /// line — and out of the untraced hot loop — because the
-    /// mnemonic/unit name tables are large; the disabled path pays only
-    /// the `enabled()` branch at the call site.
+    /// line because the mnemonic/unit name tables are large; only the
+    /// `TRACING = true` instantiation of [`run_fused`](Machine::run_fused)
+    /// calls it.
     #[cold]
     #[inline(never)]
-    fn emit_op_events(&self, cycle: u64, pc: usize, slot: usize, op: &Op, res: &ExecResult) {
+    fn emit_op_events(
+        &self,
+        cycle: u64,
+        pc: usize,
+        po: &PlannedOp,
+        executed: bool,
+        branch_target: Option<u32>,
+    ) {
+        let op = &po.op;
         self.sink.emit(TraceEvent::OpDispatch {
             cycle,
             pc,
-            slot: slot as u8,
+            slot: po.slot,
             unit: op.opcode.unit().name(),
             mnemonic: op.opcode.mnemonic(),
-            executed: res.executed,
+            executed,
         });
-        if op.opcode.is_jump() {
+        if po.is_jump {
             self.sink.emit(TraceEvent::BranchResolve {
                 cycle,
                 pc,
-                target: res.branch_target.map(|t| t as usize),
-                taken: res.executed && res.branch_target.is_some(),
+                target: branch_target.map(|t| t as usize),
+                taken: executed && branch_target.is_some(),
             });
         }
-    }
-
-    /// Outlined `InstrIssue` emission (see [`Self::emit_op_events`]).
-    #[cold]
-    #[inline(never)]
-    fn emit_instr_issue(&self, cycle: u64, pc: usize, ops: u8) {
-        self.sink.emit(TraceEvent::InstrIssue { cycle, pc, ops });
     }
 
     /// Outlined stall emission: a balanced `StallBegin`/`StallEnd` pair
@@ -1103,229 +950,43 @@ impl Machine {
         });
     }
 
-    /// The execute stage of one VLIW instruction: dispatches every
-    /// operation of the predecoded plan, accumulating stats and pending
-    /// register writes. Returns `(branch_target, executed_ops,
-    /// progress_ops)`.
-    ///
-    /// Monomorphized over `TRACING`: the `false` instantiation — the
-    /// ordinary untraced hot loop — contains no emission code at all, so
-    /// attaching a sink costs untraced runs nothing. Plan entries are
-    /// `Copy` and copied to a local per iteration, so nothing borrows
-    /// `self` across the execute call and nothing is cloned or
-    /// allocated.
-    #[inline(always)]
-    fn dispatch_ops<const TRACING: bool>(
-        &mut self,
-        pc: usize,
-        issue_cycle: u64,
-    ) -> Result<(Option<usize>, u8, u8), SimError> {
-        let PlannedInstr { start, end, .. } = self.plan.instrs[pc];
-        let mut branch_target: Option<usize> = None;
-        let mut exec_here = 0u8;
-        let mut progress_here = 0u8;
-        self.stats.ops += u64::from(end - start);
-        let land_base = self.stats.instrs;
-        for idx in start as usize..end as usize {
-            let po = self.plan.ops[idx];
-            let res = execute(&po.op, &self.regs, &mut self.mem).map_err(|e| match e {
-                ExecError::MisalignedAccess { addr, size } => {
-                    SimError::MisalignedAccess { pc, addr, size }
-                }
-                ExecError::OutOfBoundsAccess { addr, size } => {
-                    SimError::OutOfBoundsAccess { pc, addr, size }
-                }
-            })?;
-            if TRACING {
-                self.emit_op_events(issue_cycle, pc, po.slot as usize, &po.op, &res);
-            }
-            if res.executed {
-                self.stats.exec_ops += 1;
-                exec_here += 1;
-                // Progress, for the livelock watchdog, means an executed
-                // operation that can touch architectural state. Pure
-                // jumps do not count: a loop executing only jumps (and
-                // empty or guard-false instructions) computes nothing and
-                // never will.
-                if !po.is_jump {
-                    progress_here += 1;
-                }
-            }
-            if po.is_jump {
-                self.stats.branches += 1;
-            }
-            for (r, v) in res.write_iter() {
-                self.writes.push(land_base + u64::from(po.latency), r, v);
-            }
-            if let Some(t) = res.branch_target {
-                self.stats.taken_branches += 1;
-                branch_target = Some(t as usize);
-            }
-        }
-        Ok((branch_target, exec_here, progress_here))
-    }
-
-    /// Executes one VLIW instruction and reports what happened.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn step_record(&mut self) -> Result<TraceRecord, SimError> {
-        debug_assert!(!self.is_halted());
-        let pc = self.pc;
-        let tracing = self.sink.enabled();
-        if tracing {
-            // Tag memory-side events (cache accesses) with the
-            // requesting instruction; untraced runs skip the store.
-            self.mem.set_pc(pc);
-        }
-
-        // Front end (stages I1-I3 + P): every cycle a 32-byte aligned
-        // chunk of instruction information can be retrieved from the
-        // instruction cache into the 4-entry instruction buffer (§3);
-        // instructions whose chunks are buffered cost no cache access.
-        // The chunk window comes precomputed from the issue plan.
-        let PlannedInstr {
-            first_chunk,
-            last_chunk,
-            ..
-        } = self.plan.instrs[pc];
-        let mut istall = 0u64;
-        let mut chunk = first_chunk;
-        loop {
-            if !self.ibuf.contains(&chunk) {
-                istall += self.mem.fetch_instr(self.cycle + istall, chunk, 32);
-                self.ibuf[self.ibuf_next] = chunk;
-                self.ibuf_next = (self.ibuf_next + 1) % self.ibuf.len();
-            }
-            if chunk == last_chunk {
-                break;
-            }
-            chunk = chunk.wrapping_add(32);
-        }
-        if istall > 0 && tracing {
-            self.emit_stall(self.cycle, StallCause::IFetch, istall, pc);
-        }
-        self.cycle += istall;
-        self.stats.ifetch_stall_cycles += istall;
-
-        // Results landing by this instruction slot become visible to
-        // reads.
-        self.commit_writes(self.stats.instrs);
-
-        // Execute stages: all operations of the instruction read the same
-        // architectural state (operand read in stage D).
-        let issue_cycle = self.cycle;
-        self.mem.begin_instr(issue_cycle);
-        // Monomorphized over the tracing flag so the untraced loop
-        // contains no emission code at all (not even the branches).
-        let (branch_target, exec_here, progress_here) = if tracing {
-            self.dispatch_ops::<true>(pc, issue_cycle)?
-        } else {
-            self.dispatch_ops::<false>(pc, issue_cycle)?
-        };
-        if tracing {
-            self.emit_instr_issue(issue_cycle, pc, exec_here);
-        }
-        let dstall = self.mem.take_stall();
-        self.stats.data_stall_cycles += dstall;
-        if dstall > 0 && tracing {
-            self.emit_stall(self.cycle + 1, StallCause::Data, dstall, pc);
-        }
-        self.cycle += 1 + dstall;
-        self.stats.instrs += 1;
-        self.telemetry.fallback_instrs += 1;
-
-        // Livelock watchdog: a well-formed program keeps executing
-        // operations; a corrupted one can spin through jumps and
-        // empty instructions forever without touching state.
-        if progress_here > 0 {
-            self.last_progress_cycle = self.cycle;
-        } else {
-            let idle = self.cycle - self.last_progress_cycle;
-            if idle >= self.watchdog_cycles {
-                self.sink.emit_with(|| TraceEvent::WatchdogFired {
-                    cycle: self.cycle,
-                    pc,
-                    idle,
-                });
-                return Err(SimError::NoProgress { pc, cycles: idle });
-            }
-        }
-
-        // Control flow: taken branches take effect after the delay slots.
-        if let Some(target) = branch_target {
-            if self.pending_branch.is_some() {
-                return Err(SimError::BranchInDelaySlot { at: pc });
-            }
-            self.pending_branch = Some((self.config.issue.jump_delay_slots, target));
-            self.pc += 1;
-        } else {
-            match &mut self.pending_branch {
-                Some((remaining, target)) => {
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        self.pc = *target;
-                        self.pending_branch = None;
-                    } else {
-                        self.pc += 1;
-                    }
-                }
-                None => self.pc += 1,
-            }
-        }
-        let record = TraceRecord {
-            cycle: issue_cycle,
-            pc,
-            ops_executed: exec_here,
-            ifetch_stall: istall,
-            data_stall: dstall,
-            branch_taken: branch_target,
-        };
-        let ring = self.config.trace_ring;
-        if ring > 0 {
-            if self.trace_ring.len() >= ring {
-                self.trace_ring.pop_front();
-            }
-            self.trace_ring.push_back(record);
-        }
-        Ok(record)
-    }
-
-    /// The fused steady-state executor: runs instructions back-to-back
-    /// with superblock-grade bookkeeping until the program halts, the
-    /// cycle budget is reached, or a typed error fires. Architecturally
-    /// and *cycle*-identical to a `step_record` loop — only overhead is
+    /// The engine: runs instructions back-to-back until the program
+    /// halts, the cycle budget is reached, or a typed error fires. Each
+    /// instruction pays its front-end stall (stages I1–I3 + P), commits
+    /// the results landing at its slot, issues every operation against
+    /// the same architectural state, and pays its data stall. Overhead is
     /// removed, never timing:
     ///
     /// - Register-pure ops dispatch through their precomputed
     ///   [`PureFn`] pointer (guard check + evaluate + scoreboard push),
-    ///   skipping the full opcode match and [`ExecResult`] plumbing.
-    ///   Memory ops, jumps, two-destination super-ops and everything
-    ///   else take the generic [`execute`] path unchanged.
+    ///   and simple loads/stores through [`FastMem`], skipping the full
+    ///   opcode match and [`ExecResult`](tm3270_isa::ExecResult)
+    ///   plumbing. Jumps, cache control, prefetch MMIO and everything
+    ///   else take the generic [`execute`] path.
     /// - The front end probes only instruction-fetch chunks *newer* than
-    ///   the previous instruction's window. During sequential flow the
-    ///   4-entry buffer provably still holds every older chunk of the
-    ///   current window (spans are ≤ 2 chunks and addresses
-    ///   non-decreasing, so at most 2 distinct other chunks enter
-    ///   between consecutive references — never enough to evict), so
-    ///   the skipped probes are guaranteed hits with zero state effect.
+    ///   the previous instruction's window. In sequential flow the next
+    ///   window starts at or after the previous window's last chunk (the
+    ///   decoder checks that instruction offsets are contiguous), and
+    ///   that chunk was the last one probed, so it is still buffered:
+    ///   the skipped probe is a guaranteed hit with no state effect.
     ///   After a taken branch lands (and on entry) the full window is
-    ///   probed, exactly like the fallback path.
+    ///   probed.
     /// - Run statistics accumulate in locals and flush to `self` on
     ///   every exit path, so budget boundaries, halts and errors observe
     ///   exact counters.
     ///
-    /// Everything with externally visible per-instruction behaviour is
-    /// preserved verbatim: `begin_instr`/`take_stall` bracket every
-    /// instruction (prefetch absorption and data-stall timing are
-    /// `mem`-state dependent), the writeback ring commits per
-    /// instruction slot, the watchdog and delay-slot bookkeeping run per
-    /// instruction, and the crash-report trace ring is maintained
-    /// identically. Callers gate this on: no trace sink, no observer,
-    /// and a trusted (scheduler-produced) image — every other
-    /// combination takes [`step_record`](Machine::step_record).
-    fn run_fused(&mut self, budget: u64) -> Result<(), SimError> {
+    /// `begin_instr`/`take_stall` bracket every instruction with memory
+    /// ops or a prefetch in flight (prefetch absorption and data-stall
+    /// timing are `mem`-state dependent), the writeback ring commits per
+    /// instruction slot, and the watchdog and delay-slot bookkeeping run
+    /// per instruction.
+    ///
+    /// Monomorphized over `TRACING`: the `false` instantiation contains
+    /// no emission code at all; the `true` one tags memory events with
+    /// the issuing pc and emits the `IFetch` stall, `OpDispatch` and
+    /// `BranchResolve` per op, `InstrIssue`, the `Data` stall and
+    /// `WatchdogFired`, in that order.
+    fn run_fused<const TRACING: bool>(&mut self, budget: u64) -> Result<(), SimError> {
         let len = self.plan.instrs.len();
         let delay_slots = self.config.issue.jump_delay_slots;
         let ring = self.config.trace_ring;
@@ -1414,12 +1075,36 @@ impl Machine {
             };
         }
 
+        // Queues `po`'s result `v` for register `r`: latency-1 results
+        // take the lane, the rest the scoreboard ring.
+        macro_rules! write_back {
+            ($po:expr, $land_base:expr, $r:expr, $v:expr) => {
+                if $po.latency == 1 {
+                    lane[lane_n] = ($r, $v);
+                    lane_n += 1;
+                } else {
+                    self.writes
+                        .push($land_base + u64::from($po.latency), $r, $v);
+                }
+            };
+        }
+
         loop {
-            if (pc >= len && pending.is_none()) || cycle >= budget {
+            if pc >= len || cycle >= budget {
                 flush!();
+                // A branch still waiting for delay slots that would issue
+                // past the last instruction has nowhere to fetch from.
+                if pc >= len && pending.is_some() && cycle < budget {
+                    return Err(SimError::DelaySlotPastEnd { at: pc });
+                }
                 return Ok(());
             }
             let ipc = pc;
+            if TRACING {
+                // Tag memory-side events (cache accesses) with the
+                // requesting instruction.
+                self.mem.set_pc(ipc);
+            }
             let PlannedInstr {
                 start,
                 end,
@@ -1445,6 +1130,9 @@ impl Machine {
                 chunk = chunk.wrapping_add(32);
             }
             probe_floor = last_chunk;
+            if TRACING && istall > 0 {
+                self.emit_stall(cycle, StallCause::IFetch, istall, ipc);
+            }
             cycle += istall;
             istall_total += istall;
 
@@ -1464,8 +1152,7 @@ impl Machine {
             // prefetch is in flight, whose completion must be absorbed
             // at exactly this cycle (fills and copy-back timing depend
             // on it). The clock itself still tracks every instruction
-            // (`set_now`) so a snapshot taken after a pure-ALU tail is
-            // byte-identical to one from the fallback engine.
+            // (`set_now`), because snapshots serialize it.
             let mem_active = has_mem || self.mem.prefetch_in_flight();
             if mem_active {
                 self.mem.begin_instr(issue_cycle);
@@ -1481,7 +1168,8 @@ impl Machine {
             let mut progress = false;
             for po in &self.plan.ops[start as usize..end as usize] {
                 if let Some(pf) = po.pure {
-                    if self.regs.guard(po.op.guard) {
+                    let executed = self.regs.guard(po.op.guard);
+                    if executed {
                         exec_ops += 1;
                         exec_here += 1;
                         progress = true;
@@ -1490,19 +1178,17 @@ impl Machine {
                             self.regs.read(po.op.srcs[1]),
                             po.op.imm,
                         );
-                        if po.latency == 1 {
-                            lane[lane_n] = (po.op.dsts[0], v);
-                            lane_n += 1;
-                        } else {
-                            self.writes
-                                .push(land_base + u64::from(po.latency), po.op.dsts[0], v);
-                        }
+                        write_back!(po, land_base, po.op.dsts[0], v);
+                    }
+                    if TRACING {
+                        self.emit_op_events(issue_cycle, ipc, po, executed, None);
                     }
                 } else if let Some(fm) = po.fast_mem {
                     // Directly dispatched load/store: same semantics as
                     // the matching `execute` arm, minus the giant opcode
                     // match and the `ExecResult` round trip.
-                    if self.regs.guard(po.op.guard) {
+                    let executed = self.regs.guard(po.op.guard);
+                    if executed {
                         exec_ops += 1;
                         exec_here += 1;
                         progress = true;
@@ -1527,16 +1213,7 @@ impl Machine {
                                         } else {
                                             v
                                         };
-                                        if po.latency == 1 {
-                                            lane[lane_n] = (po.op.dsts[0], v);
-                                            lane_n += 1;
-                                        } else {
-                                            self.writes.push(
-                                                land_base + u64::from(po.latency),
-                                                po.op.dsts[0],
-                                                v,
-                                            );
-                                        }
+                                        write_back!(po, land_base, po.op.dsts[0], v);
                                         None
                                     }
                                     Err(e) => Some(e),
@@ -1588,16 +1265,7 @@ impl Machine {
                                         mem_calls += 1;
                                         self.mem.load_bytes(addr, &mut data);
                                         let v = ld_frac8_value(data, self.regs.read(po.op.srcs[1]));
-                                        if po.latency == 1 {
-                                            lane[lane_n] = (po.op.dsts[0], v);
-                                            lane_n += 1;
-                                        } else {
-                                            self.writes.push(
-                                                land_base + u64::from(po.latency),
-                                                po.op.dsts[0],
-                                                v,
-                                            );
-                                        }
+                                        write_back!(po, land_base, po.op.dsts[0], v);
                                         None
                                     }
                                     Err(e) => Some(e),
@@ -1606,23 +1274,11 @@ impl Machine {
                         };
                         if let Some(e) = err {
                             flush!();
-                            return Err(match e {
-                                ExecError::MisalignedAccess { addr, size } => {
-                                    SimError::MisalignedAccess {
-                                        pc: ipc,
-                                        addr,
-                                        size,
-                                    }
-                                }
-                                ExecError::OutOfBoundsAccess { addr, size } => {
-                                    SimError::OutOfBoundsAccess {
-                                        pc: ipc,
-                                        addr,
-                                        size,
-                                    }
-                                }
-                            });
+                            return Err(SimError::exec(ipc, e));
                         }
+                    }
+                    if TRACING {
+                        self.emit_op_events(issue_cycle, ipc, po, executed, None);
                     }
                 } else {
                     // Guard-true memory-unit ops (cache control,
@@ -1635,24 +1291,12 @@ impl Machine {
                         Ok(res) => res,
                         Err(e) => {
                             flush!();
-                            return Err(match e {
-                                ExecError::MisalignedAccess { addr, size } => {
-                                    SimError::MisalignedAccess {
-                                        pc: ipc,
-                                        addr,
-                                        size,
-                                    }
-                                }
-                                ExecError::OutOfBoundsAccess { addr, size } => {
-                                    SimError::OutOfBoundsAccess {
-                                        pc: ipc,
-                                        addr,
-                                        size,
-                                    }
-                                }
-                            });
+                            return Err(SimError::exec(ipc, e));
                         }
                     };
+                    if TRACING {
+                        self.emit_op_events(issue_cycle, ipc, po, res.executed, res.branch_target);
+                    }
                     if res.executed {
                         exec_ops += 1;
                         exec_here += 1;
@@ -1664,12 +1308,7 @@ impl Machine {
                         branches += 1;
                     }
                     for (r, v) in res.write_iter() {
-                        if po.latency == 1 {
-                            lane[lane_n] = (r, v);
-                            lane_n += 1;
-                        } else {
-                            self.writes.push(land_base + u64::from(po.latency), r, v);
-                        }
+                        write_back!(po, land_base, r, v);
                     }
                     if let Some(t) = res.branch_target {
                         taken += 1;
@@ -1678,7 +1317,17 @@ impl Machine {
                 }
             }
 
+            if TRACING {
+                self.sink.emit(TraceEvent::InstrIssue {
+                    cycle: issue_cycle,
+                    pc: ipc,
+                    ops: exec_here,
+                });
+            }
             let dstall = if mem_active { self.mem.take_stall() } else { 0 };
+            if TRACING && dstall > 0 {
+                self.emit_stall(issue_cycle + 1, StallCause::Data, dstall, ipc);
+            }
             dstall_total += dstall;
             cycle += 1 + dstall;
             instrs += 1;
@@ -1689,6 +1338,11 @@ impl Machine {
             } else {
                 let idle = cycle - last_progress;
                 if idle >= self.watchdog_cycles {
+                    self.sink.emit_with(|| TraceEvent::WatchdogFired {
+                        cycle,
+                        pc: ipc,
+                        idle,
+                    });
                     flush!();
                     return Err(SimError::NoProgress {
                         pc: ipc,
@@ -1743,30 +1397,19 @@ impl Machine {
     }
 
     /// The unified run entry point: runs until the program halts or the
-    /// budget is exhausted, honouring every option in `opts` — the
-    /// watchdog override, the per-instruction observer and crash-report
-    /// capture.
-    ///
-    /// Steady-state execution takes the fused superblock path
-    /// ([`run_fused`](Machine::run_fused)) whenever nothing needs
-    /// per-instruction visibility; attaching a trace sink or an
-    /// observer, or running a machine decoded from an arbitrary image
-    /// ([`Machine::from_image`], the fault-injection load path), falls
-    /// back to the cycle-accurate [`step_record`](Machine::step_record)
-    /// loop. Both paths produce bit-identical architectural state,
-    /// statistics and snapshots.
+    /// budget is exhausted, honouring the watchdog override and
+    /// crash-report capture in `opts`. Traced runs (a sink attached)
+    /// take the `TRACING = true` instantiation of the same loop, so they
+    /// produce the same architectural state, statistics and snapshots as
+    /// untraced ones.
     ///
     /// Both the success statistics and the typed error travel in the
     /// [`RunOutcome`], alongside the optional post-mortem snapshot;
     /// [`RunOutcome::into_result`] drops the snapshot.
-    pub fn run_with(&mut self, mut opts: RunOptions<'_>) -> RunOutcome {
+    pub fn run_with(&mut self, opts: RunOptions) -> RunOutcome {
         if let Some(cycles) = opts.watchdog {
             self.set_watchdog(cycles);
         }
-        let fused_ok = !self.sink.enabled()
-            && opts.trace.is_none()
-            && self.trusted_schedule
-            && !self.force_fallback;
         let result = loop {
             if self.is_halted() {
                 // Drain in-flight results.
@@ -1778,21 +1421,15 @@ impl Machine {
             if self.cycle >= opts.budget {
                 break Err(SimError::CycleLimit { limit: opts.budget });
             }
-            if fused_ok {
-                // Returns at a halt or budget boundary (handled by the
-                // checks above on the next pass) or with a typed error.
-                match self.run_fused(opts.budget) {
-                    Ok(()) => continue,
-                    Err(e) => break Err(e),
-                }
-            }
-            match self.step_record() {
-                Ok(record) => {
-                    if let Some(trace) = opts.trace.as_mut() {
-                        trace(&record);
-                    }
-                }
-                Err(e) => break Err(e),
+            // Returns at a halt or budget boundary (handled by the checks
+            // above on the next pass) or with a typed error.
+            let run = if self.sink.enabled() {
+                self.run_fused::<true>(opts.budget)
+            } else {
+                self.run_fused::<false>(opts.budget)
+            };
+            if let Err(e) = run {
+                break Err(e);
             }
         };
         // Drain staged trace events (success and crash paths alike) so
@@ -2340,7 +1977,9 @@ mod tests {
 
     #[test]
     fn trace_records_cover_the_run() {
-        let config = MachineConfig::tm3270();
+        let mut config = MachineConfig::tm3270();
+        // A ring larger than the run keeps every record.
+        config.trace_ring = 1_000;
         let mut b = ProgramBuilder::new(config.issue);
         b.op(Op::imm(r(2), 3));
         let top = b.bind_here();
@@ -2348,12 +1987,11 @@ mod tests {
         b.op(Op::rri(Opcode::Igtri, r(3), r(2), 0));
         b.jump_if(r(3), top);
         let mut m = Machine::new(config, b.build().unwrap()).unwrap();
-        let mut records = Vec::new();
-        let mut observer = |rec: &TraceRecord| records.push(*rec);
         let stats = m
-            .run_with(RunOptions::budget(1_000_000).observe(&mut observer))
+            .run_with(RunOptions::budget(1_000_000))
             .into_result()
             .unwrap();
+        let records: Vec<TraceRecord> = m.recent_trace().copied().collect();
         assert_eq!(records.len() as u64, stats.instrs);
         // Cycles are monotonically increasing.
         for w in records.windows(2) {
@@ -2479,6 +2117,60 @@ mod tests {
         );
     }
 
+    /// `[iaddi r2, r2, 1]`, then `[jmpi 0]` in slot 1: the taken jump's
+    /// delay slots would issue past the last instruction.
+    fn jump_off_the_end() -> tm3270_isa::Program {
+        use tm3270_isa::{Instr, Program};
+        let mut p = Program::new();
+        let mut i0 = Instr::nop();
+        i0.place(Op::rri(Opcode::Iaddi, r(2), r(2), 1), 0);
+        let mut i1 = Instr::nop();
+        i1.place(Op::new(Opcode::Jmpi, Reg::ONE, &[], &[], 0), 1);
+        p.instrs.push(i0);
+        p.instrs.push(i1);
+        p
+    }
+
+    #[test]
+    fn delay_slots_past_the_end_are_a_typed_error() {
+        let program = jump_off_the_end();
+        let image = encode_program(&program).unwrap();
+        let machines = [
+            Machine::new(MachineConfig::tm3270(), program).unwrap(),
+            Machine::from_image(MachineConfig::tm3270(), image).unwrap(),
+        ];
+        for mut m in machines {
+            let outcome = m.run_with(RunOptions::budget(1_000));
+            assert_eq!(outcome.result, Err(SimError::DelaySlotPastEnd { at: 2 }));
+            assert_eq!(m.pc(), 2);
+            assert!(!m.is_halted(), "a pending branch is not a halt");
+        }
+
+        // Single-stepping reaches the same error after the two
+        // instructions.
+        let mut m = Machine::new(MachineConfig::tm3270(), jump_off_the_end()).unwrap();
+        m.step().unwrap();
+        m.step().unwrap();
+        assert_eq!(m.step(), Err(SimError::DelaySlotPastEnd { at: 2 }));
+    }
+
+    #[test]
+    fn step_on_a_halted_machine_is_a_no_op() {
+        let mut b = ProgramBuilder::new(IssueModel::tm3270());
+        b.op(Op::imm(r(2), 7));
+        let mut m = Machine::new(MachineConfig::tm3270(), b.build().unwrap()).unwrap();
+        while !m.is_halted() {
+            m.step().unwrap();
+        }
+        let before = m.snapshot().into_bytes();
+        for _ in 0..3 {
+            m.step().unwrap();
+        }
+        assert!(m.is_halted());
+        assert_eq!(m.snapshot().into_bytes(), before);
+        assert_eq!(m.engine_telemetry().fused_instrs, m.stats_snapshot().instrs);
+    }
+
     #[test]
     fn strict_config_reports_misaligned_access() {
         let mut config = MachineConfig::tm3270();
@@ -2588,6 +2280,7 @@ mod tests {
             SimError::NoProgress { pc: 1, cycles: 2 },
             SimError::CycleLimit { limit: 3 },
             SimError::BranchInDelaySlot { at: 4 },
+            SimError::DelaySlotPastEnd { at: 5 },
         ];
         let kinds: std::collections::HashSet<&str> = all.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), all.len(), "every variant has a unique kind");
@@ -2614,16 +2307,16 @@ mod tests {
         let plain_stats = outcome.into_result().unwrap();
         assert_eq!(plain.reg(r(4)), 42);
 
-        // The observer sees every issued instruction, and observing
-        // changes no statistic.
+        // A sink sees every issued instruction, and tracing changes no
+        // statistic.
         let mut traced = build();
-        let mut seen = 0u64;
-        let mut observer = |_rec: &TraceRecord| seen += 1;
+        let counters = std::rc::Rc::new(std::cell::RefCell::new(tm3270_obs::CounterSink::new()));
+        traced.attach_sink(SinkHandle::from(counters.clone()));
         let stats = traced
-            .run_with(RunOptions::budget(1_000_000).observe(&mut observer))
+            .run_with(RunOptions::budget(1_000_000))
             .into_result()
             .unwrap();
-        assert_eq!(seen, stats.instrs);
+        assert_eq!(counters.borrow().buckets().issue, stats.instrs);
         assert_eq!(stats, plain_stats);
 
         // Budget exhaustion with report capture: the outcome carries both

@@ -6,10 +6,10 @@
 //! exported from the registry crate so runtime tools can assert against
 //! them too: `repro_simspeed --check-golden` verifies every measured
 //! row's `instrs`/`cycles` here, so a silently mis-simulating fast path
-//! cannot post a fast-but-wrong throughput number. The counts are
-//! engine-independent (fused and fallback must agree bit-for-bit) and
-//! scale-independent (the registry `scale` knob only shortens the CABAC
-//! experiment workloads, never the golden kernels).
+//! cannot post a fast-but-wrong throughput number. The counts are the
+//! same on every run path (traced, decoded-image and single-stepped
+//! runs included) and scale-independent (the registry `scale` knob only
+//! shortens the CABAC experiment workloads, never the golden kernels).
 
 /// One pinned cell: `(config name, workload name, instrs, cycles)`.
 type Cell = (&'static str, &'static str, u64, u64);

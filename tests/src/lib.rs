@@ -1,1 +1,3 @@
+//! Shared helpers of the cross-crate integration tests.
 
+pub mod reference;

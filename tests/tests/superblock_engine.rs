@@ -13,19 +13,20 @@
 //!    must still complete bit-identically to an uninterrupted run, down
 //!    to the full snapshot byte image (registers, write ring, caches,
 //!    DRAM timing, memory).
-//! 3. **Engine fallback** — a forced-fallback run and a sink-attached
-//!    (traced) run must agree with the fused engine on every simulated
-//!    statistic, and the traced run must actually route through the
-//!    per-instruction fallback path while emitting a self-consistent
-//!    event stream.
+//! 3. **Run paths** — untraced, sink-attached, decoded-image and
+//!    single-stepped runs all take the fused loop and must agree with
+//!    the plain per-instruction [`run_reference`] model on every simulated
+//!    statistic and on the memory system's state bytes; the traced run
+//!    must emit a self-consistent event stream, pinned event for event.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use tm3270_core::{Machine, MachineConfig, RunOptions, SimError};
 use tm3270_encode::superblocks;
+use tm3270_integration::reference::{run_reference, Outcome};
 use tm3270_kernels::registry;
-use tm3270_obs::{CounterSink, SinkHandle};
+use tm3270_obs::{CounterSink, SinkHandle, TraceEvent, TraceSink};
 
 /// Builds the machine for one (workload, config) cell with kernel setup.
 fn build_cell(workload: &tm3270_kernels::Workload, config: &MachineConfig) -> Machine {
@@ -170,63 +171,94 @@ fn budget_slices_are_bit_identical_to_uninterrupted() {
     assert_eq!(cells, 11, "every golden kernel was sliced");
 }
 
-/// The forced-fallback engine (per-instruction `step_record` loop)
-/// completes every golden kernel with statistics, register digest and
-/// snapshot bytes identical to the fused engine, and the telemetry
-/// proves each run used the engine it claims.
+/// Every run path of the one engine — untraced, sink-attached, a
+/// machine decoded from the golden image, and single-stepped — matches
+/// the reference model on all 11 golden kernels on configs A and D, and
+/// every instruction of every path ran on the fused loop. `upconv_opt_pf`
+/// joins them on config D (it has no `ld_frac8` slot on the TM3260):
+/// no golden kernel arms the prefetch unit, and only a prefetch in
+/// flight makes an instruction without memory ops touch the memory
+/// model.
 #[test]
-fn forced_fallback_matches_fused_bit_for_bit() {
-    let config = MachineConfig::tm3270();
-    let mut cells = 0usize;
-    for workload in registry(1).iter().filter(|w| w.is_golden()) {
-        let cell = format!("{} on {}", workload.name(), config.name);
-        let mut fused = build_cell(workload, &config);
-        let fused_stats = fused
-            .run_with(RunOptions::budget(workload.cycle_budget()))
-            .into_result()
-            .unwrap_or_else(|e| panic!("{cell}: {e}"));
-        let tele = fused.engine_telemetry();
-        assert_eq!(tele.fused_instrs, fused_stats.instrs, "{cell}: fused share");
-        assert_eq!(tele.fallback_instrs, 0, "{cell}: fallback share");
-
-        let mut fallback = build_cell(workload, &config);
-        fallback.set_force_fallback(true);
-        let fb_stats = fallback
-            .run_with(RunOptions::budget(workload.cycle_budget()))
-            .into_result()
-            .unwrap_or_else(|e| panic!("{cell}: fallback: {e}"));
-        let tele = fallback.engine_telemetry();
-        assert_eq!(tele.fused_instrs, 0, "{cell}: fallback run fused share");
-        assert_eq!(
-            tele.fallback_instrs, fb_stats.instrs,
-            "{cell}: fallback share"
-        );
-
-        assert_eq!(fb_stats, fused_stats, "{cell}: stats diverged");
-        assert_eq!(
-            fallback.reg_digest(),
-            fused.reg_digest(),
-            "{cell}: reg digest"
-        );
-        assert_eq!(
-            fallback.snapshot().into_bytes(),
-            fused.snapshot().into_bytes(),
-            "{cell}: snapshot bytes"
-        );
-        fallback
-            .kernel_verify(workload)
-            .unwrap_or_else(|e| panic!("{cell}: verify failed: {e}"));
-        cells += 1;
-    }
-    assert_eq!(cells, 11, "every golden kernel ran on both engines");
+fn reference_model_matches_every_run_path() {
+    // One thread per configuration: the cells are independent and this
+    // is the suite's longest test.
+    let cells: usize = std::thread::scope(|scope| {
+        [MachineConfig::tm3260(), MachineConfig::tm3270()]
+            .map(|config| scope.spawn(move || check_run_paths(&config)))
+            .into_iter()
+            .map(|t| t.join().expect("a cell failed"))
+            .sum()
+    });
+    assert_eq!(cells, 23, "golden kernels on A and D, upconv_opt_pf on D");
 }
 
-/// Attaching an event sink routes the run through the per-instruction
-/// traced path (the fused loop must disable itself), emits a
+/// The cells of [`reference_model_matches_every_run_path`] on one
+/// configuration; returns how many ran.
+fn check_run_paths(config: &MachineConfig) -> usize {
+    let mut cells = 0usize;
+    let registry = registry(1);
+    let workloads = registry
+        .iter()
+        .filter(|w| w.is_golden() || w.name() == "upconv_opt_pf");
+    for workload in workloads {
+        if workload.build(&config.issue).is_err() {
+            continue;
+        }
+        let cell = format!("{} on {}", workload.name(), config.name);
+        let budget = workload.cycle_budget();
+        let fresh = build_cell(workload, config);
+        let expected =
+            run_reference(&fresh, budget).unwrap_or_else(|e| panic!("{cell}: reference: {e}"));
+
+        let run = |m: &mut Machine| {
+            m.run_with(RunOptions::budget(budget))
+                .into_result()
+                .unwrap_or_else(|e| panic!("{cell}: {e}"))
+        };
+        let mut untraced = build_cell(workload, config);
+        let mut traced = build_cell(workload, config);
+        traced.attach_sink(SinkHandle::from(Rc::new(RefCell::new(CounterSink::new()))));
+        let mut decoded = Machine::from_image(config.clone(), fresh.image().clone())
+            .unwrap_or_else(|e| panic!("{cell}: decode: {e}"));
+        workload.kernel().setup(&mut decoded);
+        let mut stepped = build_cell(workload, config);
+        while !stepped.is_halted() {
+            stepped
+                .step()
+                .unwrap_or_else(|e| panic!("{cell}: step: {e}"));
+        }
+        for (path, m) in [
+            ("untraced", &mut untraced),
+            ("sink-attached", &mut traced),
+            ("from_image", &mut decoded),
+            ("single-stepped", &mut stepped),
+        ] {
+            let stats = run(m);
+            assert!(
+                Outcome::of(m, stats) == expected,
+                "{cell}: {path} run diverged from the reference model"
+            );
+            assert_eq!(
+                m.engine_telemetry().fused_instrs,
+                stats.instrs,
+                "{cell}: {path} run left the fused loop"
+            );
+            workload
+                .kernel()
+                .verify(m)
+                .unwrap_or_else(|e| panic!("{cell}: {path}: verify failed: {e}"));
+        }
+        cells += 1;
+    }
+    cells
+}
+
+/// Attaching an event sink keeps the run on the fused loop, emits a
 /// self-consistent per-cycle event stream, and still reproduces the
-/// fused engine's statistics and register digest exactly.
+/// untraced run's statistics and register digest exactly.
 #[test]
-fn sink_attached_run_traces_the_fallback_path_bit_identically() {
+fn sink_attached_run_stays_fused_bit_identically() {
     let config = MachineConfig::tm3270();
     for workload in registry(1).iter().filter(|w| w.is_golden()).take(3) {
         let cell = format!("{} on {}", workload.name(), config.name);
@@ -243,17 +275,16 @@ fn sink_attached_run_traces_the_fallback_path_bit_identically() {
             .run_with(RunOptions::budget(workload.cycle_budget()))
             .into_result()
             .unwrap_or_else(|e| panic!("{cell}: traced: {e}"));
-        let tele = traced.engine_telemetry();
-        assert_eq!(tele.fused_instrs, 0, "{cell}: traced run must not fuse");
         assert_eq!(
-            tele.fallback_instrs, traced_stats.instrs,
-            "{cell}: traced share"
+            traced.engine_telemetry().fused_instrs,
+            traced_stats.instrs,
+            "{cell}: traced run must stay fused"
         );
 
         assert_eq!(traced_stats, fused_stats, "{cell}: stats diverged");
         assert_eq!(traced.reg_digest(), fused.reg_digest(), "{cell}: digest");
 
-        // The event stream the fused engine skipped must be complete:
+        // The event stream must be complete:
         // the cycle-bucket decomposition covers every simulated cycle,
         // per-slot dispatch counts sum to the op totals, and the branch
         // counters match the run statistics.
@@ -279,14 +310,64 @@ fn sink_attached_run_traces_the_fallback_path_bit_identically() {
     }
 }
 
-/// Gives tests a verify entry point without re-importing the kernel
-/// trait everywhere.
-trait KernelVerify {
-    fn kernel_verify(&self, workload: &tm3270_kernels::Workload) -> Result<(), String>;
+/// Counts trace events and folds each event's `Debug` text into an
+/// FNV-1a digest, so event order and every field are pinned, not only
+/// the per-kind sums the conservation suites check.
+struct DigestSink {
+    events: u64,
+    hash: u64,
 }
 
-impl KernelVerify for Machine {
-    fn kernel_verify(&self, workload: &tm3270_kernels::Workload) -> Result<(), String> {
-        workload.kernel().verify(self).map_err(|e| e.to_string())
+impl std::fmt::Write for DigestSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
     }
+}
+
+impl TraceSink for DigestSink {
+    fn event(&mut self, event: &TraceEvent) {
+        use std::fmt::Write;
+        self.events += 1;
+        writeln!(self, "{event:?}").unwrap();
+    }
+}
+
+/// The traced engine emits exactly the event stream pinned below on
+/// config D: per kernel, the event count and a digest of every event's
+/// `Debug` text in emission order. The values were captured while
+/// traced runs still took the separate per-instruction engine, so the
+/// fused loop's `TRACING` instantiation is held to that engine's stream.
+#[test]
+fn traced_event_stream_is_pinned() {
+    const PINNED: &[(&str, u64, u64)] = &[
+        ("memset", 47118, 0xc7856b2cc61a8dd7),
+        ("memcpy", 100874, 0x5bc47aea74ac60f3),
+        ("mpeg2_a", 1568229, 0xb7e069be7e4ecdad),
+        ("filter", 1393583, 0xb14046f900196bfc),
+        ("rgb2yuv", 2582601, 0x6856bf17b4878f9e),
+    ];
+    let config = MachineConfig::tm3270();
+    let mut measured = Vec::new();
+    for &(name, _, _) in PINNED {
+        let workload = registry(1)
+            .into_iter()
+            .find(|w| w.name() == name)
+            .unwrap_or_else(|| panic!("{name} in registry"));
+        let mut m = build_cell(&workload, &config);
+        let sink = Rc::new(RefCell::new(DigestSink {
+            events: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }));
+        m.attach_sink(SinkHandle::from(sink.clone()));
+        m.run_with(RunOptions::budget(workload.cycle_budget()))
+            .into_result()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let s = sink.borrow();
+        measured.push((name, s.events, s.hash));
+    }
+    assert_eq!(measured, PINNED, "per-kernel (events, digest)");
 }
