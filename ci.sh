@@ -11,6 +11,9 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== cargo test --release (isa unit tests: results must not depend on the build profile) =="
+cargo test --release -q -p tm3270-isa --lib
+
 echo "== cargo clippy =="
 cargo clippy -q --all-targets -- -D warnings
 
@@ -71,9 +74,10 @@ echo "== simulator-throughput smoke (repro_simspeed vs golden registry, both con
 # engine losing its fast paths, not to police host speed: it measures
 # ~22 geomean sim MIPS idle and stays above 16 under ambient load,
 # while a per-instruction loop without them (every op through the
-# generic `execute`, the full fetch window probed per instruction, the
-# shape of the removed fallback engine) measured ~11 on the same host —
-# so a drop below 14 is a real regression, not host variance.
+# generic `execute` and every memory op through the full model, with no
+# pure or fast-memory dispatch — the shape of the removed fallback
+# engine) measured ~11 on the same host — so a drop below 14 is a real
+# regression, not host variance.
 speed_json_d=$(cargo run --release -q -p tm3270-bench --bin repro_simspeed -- \
   --repeats 3 --json --check-golden --min-geomean 14 --config d)
 speed_json_a=$(cargo run --release -q -p tm3270-bench --bin repro_simspeed -- \

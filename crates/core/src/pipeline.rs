@@ -11,7 +11,6 @@
 
 use crate::config::MachineConfig;
 use crate::snapshot::Snapshot;
-use std::collections::VecDeque;
 use tm3270_encode::{
     decode_program_detailed, encode_program, DecodeFault, EncodedProgram, SnapshotError,
     SnapshotReader, SnapshotWriter,
@@ -534,13 +533,17 @@ pub struct EngineTelemetry {
 /// live landing slots span less than `WRITE_RING` and never alias.
 const WRITE_RING: usize = 32;
 
-/// Per-bucket capacity reserved up front. An instruction contributes at
-/// most 10 writes (5 slots × 2 destinations) and at most one
-/// instruction per distinct latency value ({1, 2, 3, 4, 6, 17} — see
-/// [`IssueModel::latency`](tm3270_isa::IssueModel::latency)) can land
-/// in the same slot, so 60 is a hard bound and steady-state commits
-/// never grow a bucket.
-const WRITE_BUCKET_CAP: usize = 64;
+/// The most entries one writeback bucket can collect, and so the most a
+/// snapshot may restore into one. An instruction contributes at most 10
+/// writes (5 slots × 2 destinations), and at most one instruction per
+/// distinct latency ({1, 2, 3, 4, 6, 17} and the configurable load
+/// latency — see [`IssueModel::latency`](tm3270_isa::IssueModel::latency))
+/// lands in a given slot.
+const WRITE_BUCKET_CAP: usize = 7 * 10;
+
+/// Storage per bucket: a restored bucket plus every push that can still
+/// reach it in one pass over the program.
+const WRITE_BUCKET_SLOTS: usize = 2 * WRITE_BUCKET_CAP;
 
 /// The cycle-bucketed writeback scoreboard: in-flight register results
 /// bucketed by landing slot modulo [`WRITE_RING`]. Landing slots are
@@ -551,7 +554,9 @@ const WRITE_BUCKET_CAP: usize = 64;
 /// unrelated in-flight writes and no allocation.
 #[derive(Debug)]
 struct WriteRing {
-    buckets: [Vec<(Reg, u32)>; WRITE_RING],
+    /// Bucket `b` holds `slots[b][..lens[b]]`, in push order.
+    slots: Box<[[(Reg, u32); WRITE_BUCKET_SLOTS]; WRITE_RING]>,
+    lens: [usize; WRITE_RING],
     /// Total entries across all buckets (so empty commits are a single
     /// compare).
     pending: usize,
@@ -564,7 +569,11 @@ struct WriteRing {
 impl WriteRing {
     fn new() -> WriteRing {
         WriteRing {
-            buckets: std::array::from_fn(|_| Vec::with_capacity(WRITE_BUCKET_CAP)),
+            slots: vec![[(Reg::ZERO, 0); WRITE_BUCKET_SLOTS]; WRITE_RING]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a Vec of WRITE_RING buckets"),
+            lens: [0; WRITE_RING],
             pending: 0,
             next: 0,
         }
@@ -577,8 +586,70 @@ impl WriteRing {
             land - self.next < WRITE_RING as u64,
             "writeback latency exceeds the scoreboard ring"
         );
-        self.buckets[(land % WRITE_RING as u64) as usize].push((r, v));
-        self.pending += 1;
+        let b = (land % WRITE_RING as u64) as usize;
+        // A bucket fills up only when a run keeps re-executing an
+        // instruction that stopped on an exec error: each attempt pushes
+        // the writes of the ops before the faulting one again, and the
+        // first attempt's entries win their slot anyway (earliest-pushed
+        // wins), so dropping the repeats changes no register.
+        if let Some(slot) = self.slots[b].get_mut(self.lens[b]) {
+            *slot = (r, v);
+            self.lens[b] += 1;
+            self.pending += 1;
+        }
+    }
+
+    /// The entries of bucket `b`, in push order.
+    fn bucket(&self, b: usize) -> &[(Reg, u32)] {
+        &self.slots[b][..self.lens[b]]
+    }
+}
+
+/// The crash-report ring: the last `cap` [`TraceRecord`]s, oldest at
+/// `head` once full. Storage grows to `cap` on first use and is then
+/// overwritten in place.
+#[derive(Debug)]
+struct TraceRing {
+    records: Vec<TraceRecord>,
+    head: usize,
+    cap: usize,
+}
+
+impl TraceRing {
+    fn new(cap: usize) -> TraceRing {
+        TraceRing {
+            records: Vec::new(),
+            head: 0,
+            cap,
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, rec: TraceRecord) {
+        if self.records.len() < self.cap {
+            self.records.push(rec);
+        } else if self.cap > 0 {
+            self.records[self.head] = rec;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+        self.head = 0;
+    }
+
+    fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The records, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer)
     }
 }
 
@@ -613,9 +684,9 @@ pub struct Machine {
     watchdog_cycles: u64,
     /// Cycle at which the last guard-true operation executed.
     last_progress_cycle: u64,
-    /// Ring buffer of the last `config.trace_ring` trace records, always
-    /// maintained (cheap) so crash reports can show recent history.
-    trace_ring: VecDeque<TraceRecord>,
+    /// The last `config.trace_ring` trace records, always maintained
+    /// (cheap) so crash reports can show recent history.
+    trace_ring: TraceRing,
     /// Trace-event sink (disabled by default; see `tm3270-obs`). Shared
     /// with the memory system by [`Machine::attach_sink`].
     sink: SinkHandle,
@@ -662,12 +733,12 @@ impl Machine {
     ) -> Machine {
         let mem = MemorySystem::new(config.mem.clone());
         let freq = config.freq_mhz();
-        let ring_cap = config.trace_ring.min(4096);
         debug_assert!(
             (config.issue.max_latency() as usize) < WRITE_RING,
             "writeback ring too small for the issue model"
         );
         let plan = IssuePlan::lower(&program, &image, &config.issue);
+        let trace_ring = TraceRing::new(config.trace_ring);
         Machine {
             config,
             program,
@@ -702,7 +773,7 @@ impl Machine {
             },
             watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
             last_progress_cycle: 0,
-            trace_ring: VecDeque::with_capacity(ring_cap),
+            trace_ring,
             sink: SinkHandle::disabled(),
             trusted_schedule,
         }
@@ -827,7 +898,8 @@ impl Machine {
         if self.writes.pending > 0 {
             let mut cc = self.writes.next;
             while cc <= upto && self.writes.pending > 0 {
-                let bucket = &mut self.writes.buckets[(cc % WRITE_RING as u64) as usize];
+                let b = (cc % WRITE_RING as u64) as usize;
+                let bucket = self.writes.bucket(b);
                 // Up to five simultaneous register-file updates per cycle
                 // (stage W, paper §3). The scheduler guarantees this for
                 // `Machine::new` programs; assert it there (in debug
@@ -841,18 +913,13 @@ impl Machine {
                     !self.trusted_schedule || bucket.len() <= 5,
                     "more than five register-file writes in one cycle"
                 );
-                debug_assert!(
-                    bucket.len() <= WRITE_BUCKET_CAP,
-                    "write bucket outgrew its reserved capacity"
-                );
-                self.writes.pending -= bucket.len();
                 // Reverse push order: on a same-register collision within
-                // one landing slot the earliest-pushed write wins,
-                // matching the pre-ring reverse-scan commit.
+                // one landing slot the earliest-pushed write wins.
                 for &(r, v) in bucket.iter().rev() {
                     self.regs.write(r, v);
                 }
-                bucket.clear();
+                self.writes.pending -= self.writes.lens[b];
+                self.writes.lens[b] = 0;
                 cc += 1;
             }
         }
@@ -963,14 +1030,6 @@ impl Machine {
     ///   opcode match and [`ExecResult`](tm3270_isa::ExecResult)
     ///   plumbing. Jumps, cache control, prefetch MMIO and everything
     ///   else take the generic [`execute`] path.
-    /// - The front end probes only instruction-fetch chunks *newer* than
-    ///   the previous instruction's window. In sequential flow the next
-    ///   window starts at or after the previous window's last chunk (the
-    ///   decoder checks that instruction offsets are contiguous), and
-    ///   that chunk was the last one probed, so it is still buffered:
-    ///   the skipped probe is a guaranteed hit with no state effect.
-    ///   After a taken branch lands (and on entry) the full window is
-    ///   probed.
     /// - Run statistics accumulate in locals and flush to `self` on
     ///   every exit path, so budget boundaries, halts and errors observe
     ///   exact counters.
@@ -989,7 +1048,6 @@ impl Machine {
     fn run_fused<const TRACING: bool>(&mut self, budget: u64) -> Result<(), SimError> {
         let len = self.plan.instrs.len();
         let delay_slots = self.config.issue.jump_delay_slots;
-        let ring = self.config.trace_ring;
 
         let mut pc = self.pc;
         let mut cycle = self.cycle;
@@ -1002,45 +1060,12 @@ impl Machine {
         let mut taken = self.stats.taken_branches;
         let mut istall_total = self.stats.ifetch_stall_cycles;
         let mut dstall_total = self.stats.data_stall_cycles;
-        let mut fused = 0u64;
-
-        /// Sentinel chunk floor: probe the next instruction's full
-        /// window (not 32-byte aligned, so no real chunk collides).
-        const FULL_PROBE: u32 = u32::MAX;
-        let mut probe_floor = FULL_PROBE;
-
         let mut mem_calls = 0u64;
-
-        // Crash-report ring, kept in a local circular buffer and folded
-        // back into `self.trace_ring` on exit: per-instruction VecDeque
-        // maintenance (length check + pop + push) is measurably more
-        // expensive than an indexed store, and only the final ring
-        // contents are observable.
-        let mut local_ring: Vec<TraceRecord> = Vec::with_capacity(ring);
-        let mut ring_head = 0usize;
-
-        // Latency-1 writeback lane: results that land at the very next
-        // instruction slot stay in this fixed array instead of taking a
-        // scoreboard-ring round trip (push + bucket drain). All entries
-        // share one landing slot (`lane_land`); the lane is applied in
-        // reverse push order ahead of the ring drain of the same slot,
-        // reproducing the bucket's collision rule (earliest-pushed
-        // wins — ring entries for the slot were pushed in earlier
-        // instructions, i.e. before every lane entry). On every exit
-        // the lane spills into the ring, so seam state — snapshots,
-        // budget boundaries, post-mortems — is bit-identical to the
-        // ring-only scheme. Capacity 10 = 5 slots x 2 destinations.
-        let mut lane = [(Reg::ZERO, 0u32); 10];
-        let mut lane_n = 0usize;
-        let mut lane_land = 0u64;
 
         macro_rules! flush {
             () => {
-                for k in 0..lane_n {
-                    self.writes.push(lane_land, lane[k].0, lane[k].1);
-                }
-                lane_n = 0;
-                let _ = lane_n;
+                self.telemetry.fused_instrs += instrs - self.stats.instrs;
+                self.telemetry.mem_calls += mem_calls;
                 self.pc = pc;
                 self.cycle = cycle;
                 self.pending_branch = pending;
@@ -1052,40 +1077,6 @@ impl Machine {
                 self.stats.taken_branches = taken;
                 self.stats.ifetch_stall_cycles = istall_total;
                 self.stats.data_stall_cycles = dstall_total;
-                self.telemetry.fused_instrs += fused;
-                self.telemetry.mem_calls += mem_calls;
-                if local_ring.len() == ring && ring > 0 {
-                    // A full rotation: the local buffer alone holds the
-                    // last `ring` records, oldest at `ring_head`.
-                    self.trace_ring.clear();
-                    for k in 0..ring {
-                        self.trace_ring
-                            .push_back(local_ring[(ring_head + k) % ring]);
-                    }
-                } else {
-                    // Fewer new records than the ring holds: append them
-                    // after whatever history was already there.
-                    for rec in &local_ring {
-                        if self.trace_ring.len() >= ring {
-                            self.trace_ring.pop_front();
-                        }
-                        self.trace_ring.push_back(*rec);
-                    }
-                }
-            };
-        }
-
-        // Queues `po`'s result `v` for register `r`: latency-1 results
-        // take the lane, the rest the scoreboard ring.
-        macro_rules! write_back {
-            ($po:expr, $land_base:expr, $r:expr, $v:expr) => {
-                if $po.latency == 1 {
-                    lane[lane_n] = ($r, $v);
-                    lane_n += 1;
-                } else {
-                    self.writes
-                        .push($land_base + u64::from($po.latency), $r, $v);
-                }
             };
         }
 
@@ -1113,14 +1104,10 @@ impl Machine {
                 has_mem,
             } = self.plan.instrs[ipc];
 
-            // Front end: probe only chunks newer than the previous
-            // window (see method docs for why older ones are hits).
+            // Front end: every chunk of the window not in the instruction
+            // buffer is fetched through the instruction cache.
             let mut istall = 0u64;
-            let mut chunk = if probe_floor == FULL_PROBE || first_chunk > probe_floor {
-                first_chunk
-            } else {
-                probe_floor.wrapping_add(32)
-            };
+            let mut chunk = first_chunk;
             while chunk <= last_chunk {
                 if !self.ibuf.contains(&chunk) {
                     istall += self.mem.fetch_instr(cycle + istall, chunk, 32);
@@ -1129,21 +1116,12 @@ impl Machine {
                 }
                 chunk = chunk.wrapping_add(32);
             }
-            probe_floor = last_chunk;
             if TRACING && istall > 0 {
                 self.emit_stall(cycle, StallCause::IFetch, istall, ipc);
             }
             cycle += istall;
             istall_total += istall;
 
-            // Previous instruction's latency-1 results: reverse order
-            // first, then the ring drain of the same slot (see the lane
-            // comment above for why this matches the bucket rule).
-            while lane_n > 0 {
-                lane_n -= 1;
-                let (r, v) = lane[lane_n];
-                self.regs.write(r, v);
-            }
             self.commit_writes(instrs);
 
             let issue_cycle = cycle;
@@ -1161,12 +1139,12 @@ impl Machine {
             }
 
             ops += u64::from(end - start);
-            let land_base = instrs;
-            lane_land = land_base + 1;
             let mut branch_target: Option<usize> = None;
             let mut exec_here = 0u8;
             let mut progress = false;
             for po in &self.plan.ops[start as usize..end as usize] {
+                // Results land `latency` instruction slots after issue.
+                let land = instrs + u64::from(po.latency);
                 if let Some(pf) = po.pure {
                     let executed = self.regs.guard(po.op.guard);
                     if executed {
@@ -1178,7 +1156,7 @@ impl Machine {
                             self.regs.read(po.op.srcs[1]),
                             po.op.imm,
                         );
-                        write_back!(po, land_base, po.op.dsts[0], v);
+                        self.writes.push(land, po.op.dsts[0], v);
                     }
                     if TRACING {
                         self.emit_op_events(issue_cycle, ipc, po, executed, None);
@@ -1213,7 +1191,7 @@ impl Machine {
                                         } else {
                                             v
                                         };
-                                        write_back!(po, land_base, po.op.dsts[0], v);
+                                        self.writes.push(land, po.op.dsts[0], v);
                                         None
                                     }
                                     Err(e) => Some(e),
@@ -1243,15 +1221,8 @@ impl Machine {
                                         mem_calls += 1;
                                         self.mem.load_bytes(addr, &mut buf);
                                         let (w1, w2) = super_ld32_words(buf);
-                                        if po.latency == 1 {
-                                            lane[lane_n] = (po.op.dsts[0], w1);
-                                            lane[lane_n + 1] = (po.op.dsts[1], w2);
-                                            lane_n += 2;
-                                        } else {
-                                            let land = land_base + u64::from(po.latency);
-                                            self.writes.push(land, po.op.dsts[0], w1);
-                                            self.writes.push(land, po.op.dsts[1], w2);
-                                        }
+                                        self.writes.push(land, po.op.dsts[0], w1);
+                                        self.writes.push(land, po.op.dsts[1], w2);
                                         None
                                     }
                                     Err(e) => Some(e),
@@ -1265,7 +1236,7 @@ impl Machine {
                                         mem_calls += 1;
                                         self.mem.load_bytes(addr, &mut data);
                                         let v = ld_frac8_value(data, self.regs.read(po.op.srcs[1]));
-                                        write_back!(po, land_base, po.op.dsts[0], v);
+                                        self.writes.push(land, po.op.dsts[0], v);
                                         None
                                     }
                                     Err(e) => Some(e),
@@ -1308,7 +1279,7 @@ impl Machine {
                         branches += 1;
                     }
                     for (r, v) in res.write_iter() {
-                        write_back!(po, land_base, r, v);
+                        self.writes.push(land, r, v);
                     }
                     if let Some(t) = res.branch_target {
                         taken += 1;
@@ -1331,7 +1302,6 @@ impl Machine {
             dstall_total += dstall;
             cycle += 1 + dstall;
             instrs += 1;
-            fused += 1;
 
             if progress {
                 last_progress = cycle;
@@ -1365,7 +1335,6 @@ impl Machine {
                         if *remaining == 0 {
                             pc = *target;
                             pending = None;
-                            probe_floor = FULL_PROBE;
                         } else {
                             pc += 1;
                         }
@@ -1374,25 +1343,14 @@ impl Machine {
                 }
             }
 
-            if ring > 0 {
-                let rec = TraceRecord {
-                    cycle: issue_cycle,
-                    pc: ipc,
-                    ops_executed: exec_here,
-                    ifetch_stall: istall,
-                    data_stall: dstall,
-                    branch_taken: branch_target,
-                };
-                if local_ring.len() < ring {
-                    local_ring.push(rec);
-                } else {
-                    local_ring[ring_head] = rec;
-                    ring_head += 1;
-                    if ring_head == ring {
-                        ring_head = 0;
-                    }
-                }
-            }
+            self.trace_ring.push(TraceRecord {
+                cycle: issue_cycle,
+                pc: ipc,
+                ops_executed: exec_here,
+                ifetch_stall: istall,
+                data_stall: dstall,
+                branch_taken: branch_target,
+            });
         }
     }
 
@@ -1515,7 +1473,8 @@ impl Machine {
         });
         w.section(*b"WRNG", |s| {
             s.u64(self.writes.next);
-            for bucket in &self.writes.buckets {
+            for b in 0..WRITE_RING {
+                let bucket = self.writes.bucket(b);
                 s.u64(bucket.len() as u64);
                 for &(r, v) in bucket {
                     s.u8(r.index() as u8);
@@ -1525,7 +1484,7 @@ impl Machine {
         });
         w.section(*b"TRCE", |s| {
             s.u64(self.trace_ring.len() as u64);
-            for rec in &self.trace_ring {
+            for rec in self.trace_ring.iter() {
                 s.u64(rec.cycle);
                 s.u64(rec.pc as u64);
                 s.u8(rec.ops_executed);
@@ -1547,6 +1506,35 @@ impl Machine {
         Snapshot::from_bytes(w.finish())
     }
 
+    /// Rejects restored issue state the engine never produces and could
+    /// not run from: a pending branch outside its delay-slot range, a
+    /// last-progress cycle in the future, or a writeback cursor other
+    /// than one the engine leaves behind — `instrs` at every run
+    /// boundary, `instrs + 1` when an exec error stops an instruction
+    /// midway, and `u64::MAX` once a halted machine drained its results.
+    fn check_seam(&self) -> Result<(), SnapshotError> {
+        if let Some((remaining, _)) = self.pending_branch {
+            if !(1..=self.config.issue.jump_delay_slots).contains(&remaining) {
+                return Err(SnapshotError::Corrupt {
+                    what: "pending branch delay slots out of range",
+                });
+            }
+        }
+        if self.last_progress_cycle > self.cycle {
+            return Err(SnapshotError::Corrupt {
+                what: "last progress cycle lies in the future",
+            });
+        }
+        let (cursor, instrs) = (self.writes.next, self.stats.instrs);
+        let drained = cursor == u64::MAX && self.writes.pending == 0 && self.is_halted();
+        if cursor != instrs && Some(cursor) != instrs.checked_add(1) && !drained {
+            return Err(SnapshotError::Corrupt {
+                what: "writeback ring cursor does not match the instruction count",
+            });
+        }
+        Ok(())
+    }
+
     /// Restores state captured by [`snapshot`](Machine::snapshot). The
     /// machine must have been built from the same configuration and
     /// program image as the one that was snapshotted; the configuration,
@@ -1555,10 +1543,14 @@ impl Machine {
     /// # Errors
     ///
     /// [`SnapshotError`] on a bad magic, a different format version,
-    /// truncation, checksum failure or state inconsistent with this
-    /// machine's configuration. Never panics, whatever the bytes. The
-    /// machine state is unspecified after an error — restore again or
-    /// discard the machine.
+    /// truncation, checksum failure, state inconsistent with this
+    /// machine's configuration, or state the engine never produces (an
+    /// out-of-place writeback cursor, a pending branch outside its delay
+    /// slots, a progress cycle in the future, a counter or clock above
+    /// [`SNAPSHOT_COUNT_LIMIT`](tm3270_encode::SNAPSHOT_COUNT_LIMIT)).
+    /// Never panics, whatever the bytes, and neither does a run from an
+    /// accepted state. The machine state is unspecified after an error —
+    /// restore again or discard the machine.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let reader = SnapshotReader::parse(snap.as_bytes())?;
 
@@ -1566,7 +1558,7 @@ impl Machine {
         self.pc = usize::try_from(s.u64("pc")?).map_err(|_| SnapshotError::Corrupt {
             what: "pc overflows the address space",
         })?;
-        self.cycle = s.u64("cycle")?;
+        self.cycle = s.count("cycle")?;
         for chunk in &mut self.ibuf {
             *chunk = s.u32("instruction buffer")?;
         }
@@ -1596,14 +1588,14 @@ impl Machine {
         };
         self.watchdog_cycles = s.u64("watchdog")?;
         self.last_progress_cycle = s.u64("last progress cycle")?;
-        self.stats.cycles = s.u64("run stats")?;
-        self.stats.instrs = s.u64("run stats")?;
-        self.stats.ops = s.u64("run stats")?;
-        self.stats.exec_ops = s.u64("run stats")?;
-        self.stats.branches = s.u64("run stats")?;
-        self.stats.taken_branches = s.u64("run stats")?;
-        self.stats.ifetch_stall_cycles = s.u64("run stats")?;
-        self.stats.data_stall_cycles = s.u64("run stats")?;
+        self.stats.cycles = s.count("run stats")?;
+        self.stats.instrs = s.count("run stats")?;
+        self.stats.ops = s.count("run stats")?;
+        self.stats.exec_ops = s.count("run stats")?;
+        self.stats.branches = s.count("run stats")?;
+        self.stats.taken_branches = s.count("run stats")?;
+        self.stats.ifetch_stall_cycles = s.count("run stats")?;
+        self.stats.data_stall_cycles = s.count("run stats")?;
         self.stats.freq_mhz = s.f64("run stats")?;
         self.stats.mem = FullStats::load_state(&mut s)?;
 
@@ -1615,24 +1607,26 @@ impl Machine {
         let mut s = reader.section(*b"WRNG")?;
         self.writes.next = s.u64("writeback ring cursor")?;
         self.writes.pending = 0;
-        for bucket in &mut self.writes.buckets {
-            bucket.clear();
+        for b in 0..WRITE_RING {
             let len = s.u64("writeback bucket length")?;
             if len > WRITE_BUCKET_CAP as u64 {
                 return Err(SnapshotError::Corrupt {
                     what: "writeback bucket exceeds its capacity",
                 });
             }
+            self.writes.lens[b] = 0;
             for _ in 0..len {
                 let idx = s.u8("writeback register")?;
                 let reg = Reg::try_new(idx).ok_or(SnapshotError::Corrupt {
                     what: "writeback register out of range",
                 })?;
                 let value = s.u32("writeback value")?;
-                bucket.push((reg, value));
+                self.writes.slots[b][self.writes.lens[b]] = (reg, value);
+                self.writes.lens[b] += 1;
             }
-            self.writes.pending += bucket.len();
+            self.writes.pending += self.writes.lens[b];
         }
+        self.check_seam()?;
 
         let mut s = reader.section(*b"TRCE")?;
         let records = s.u64("trace ring length")?;
@@ -1666,7 +1660,7 @@ impl Machine {
                     })
                 }
             };
-            self.trace_ring.push_back(TraceRecord {
+            self.trace_ring.push(TraceRecord {
                 cycle,
                 pc,
                 ops_executed,
@@ -2184,6 +2178,35 @@ mod tests {
             }) => {}
             other => panic!("expected MisalignedAccess, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn retrying_a_faulting_instruction_keeps_its_first_writes() {
+        // `iadd r5` issues alongside a misaligned load that faults: every
+        // retry re-executes the instruction and pushes the add's result
+        // again, far more often than a writeback bucket has room for.
+        use tm3270_isa::{Instr, Program};
+        let mut config = MachineConfig::tm3270();
+        config.mem.strict_access = true;
+        let mut p = Program::new();
+        let mut i0 = Instr::nop();
+        i0.place(Op::imm(r(2), 2), 0);
+        i0.place(Op::imm(r(3), 7), 1);
+        let mut i1 = Instr::nop();
+        i1.place(Op::rrr(Opcode::Iadd, r(5), r(3), r(3)), 0);
+        i1.place(Op::rri(Opcode::Ld32d, r(4), r(2), 0), 4);
+        p.instrs.push(i0);
+        p.instrs.push(i1);
+        let mut m = Machine::from_image(config, encode_program(&p).unwrap()).unwrap();
+        for _ in 0..(2 * WRITE_BUCKET_SLOTS) {
+            let outcome = m.run_with(RunOptions::budget(1_000_000));
+            assert!(matches!(
+                outcome.result,
+                Err(SimError::MisalignedAccess { pc: 1, .. })
+            ));
+        }
+        m.commit_writes(u64::MAX);
+        assert_eq!(m.reg(r(5)), 14);
     }
 
     #[test]

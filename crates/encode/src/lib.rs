@@ -44,8 +44,8 @@ pub use program::{
     DecodeFault, EncodedProgram,
 };
 pub use snapshot::{
-    SectionReader, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    SectionReader, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
+    SNAPSHOT_COUNT_LIMIT, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 use std::error::Error;

@@ -28,6 +28,12 @@ use std::fmt;
 /// Magic bytes identifying a machine snapshot blob.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TM3S";
 
+/// The largest counter or cycle time a snapshot may carry: 2^53, up to
+/// which an `f64` clock still counts every cycle. No run gets near it,
+/// and a `u64` counter restored at or below it has more than 2^63
+/// increments left before it could overflow.
+pub const SNAPSHOT_COUNT_LIMIT: u64 = 1 << 53;
+
 /// Current snapshot format version. Bump on any layout change of any
 /// section; readers reject every other version.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -312,6 +318,38 @@ impl<'a> SectionReader<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    /// Reads a `u64` event counter or cycle count.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`], or [`SnapshotError::Corrupt`] above
+    /// [`SNAPSHOT_COUNT_LIMIT`].
+    pub fn count(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
+        let v = self.u64(what)?;
+        if v > SNAPSHOT_COUNT_LIMIT {
+            return Err(SnapshotError::Corrupt {
+                what: "counter out of range",
+            });
+        }
+        Ok(v)
+    }
+
+    /// Reads an `f64` cycle time.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`], or [`SnapshotError::Corrupt`] unless
+    /// the time lies in `0..=SNAPSHOT_COUNT_LIMIT` (so never NaN).
+    pub fn clock(&mut self, what: &'static str) -> Result<f64, SnapshotError> {
+        let v = self.f64(what)?;
+        if !(0.0..=SNAPSHOT_COUNT_LIMIT as f64).contains(&v) {
+            return Err(SnapshotError::Corrupt {
+                what: "cycle time out of range",
+            });
+        }
+        Ok(v)
+    }
+
     /// Reads `n` raw bytes.
     ///
     /// # Errors
@@ -381,6 +419,28 @@ mod tests {
         });
         w.section(*b"BBBB", |s| s.bytes(&[1, 2, 3]));
         w.finish()
+    }
+
+    #[test]
+    fn counts_and_clocks_are_range_checked() {
+        let mut w = SnapshotWriter::new();
+        w.section(*b"AAAA", |s| {
+            s.u64(SNAPSHOT_COUNT_LIMIT);
+            s.u64(SNAPSHOT_COUNT_LIMIT + 1);
+            for t in [0.0, 1e6, -1.0, f64::INFINITY, f64::NAN, 1e300] {
+                s.f64(t);
+            }
+        });
+        let bytes = w.finish();
+        let r = SnapshotReader::parse(&bytes).unwrap();
+        let mut a = r.section(*b"AAAA").unwrap();
+        assert_eq!(a.count("x"), Ok(SNAPSHOT_COUNT_LIMIT));
+        assert!(matches!(a.count("x"), Err(SnapshotError::Corrupt { .. })));
+        assert_eq!(a.clock("x"), Ok(0.0));
+        assert_eq!(a.clock("x"), Ok(1e6));
+        for _ in 0..4 {
+            assert!(matches!(a.clock("x"), Err(SnapshotError::Corrupt { .. })));
+        }
     }
 
     #[test]

@@ -477,9 +477,20 @@ fn f(v: u32) -> f32 {
     f32::from_bits(v)
 }
 
+/// The register image of every NaN float result: the default quiet NaN.
+const CANONICAL_NAN: u32 = 0x7fc0_0000;
+
+/// The register bits of a float result. IEEE 754 leaves open which NaN
+/// operand's payload an operation propagates, and the compiler may swap
+/// the operands of a commutative one, so a propagated payload would
+/// depend on the build: every NaN becomes [`CANONICAL_NAN`] instead.
 #[inline]
 fn fb(v: f32) -> u32 {
-    v.to_bits()
+    if v.is_nan() {
+        CANONICAL_NAN
+    } else {
+        v.to_bits()
+    }
 }
 
 #[inline]
@@ -1810,5 +1821,47 @@ mod tests {
             covered > 90,
             "expected ~100 specialized opcodes, got {covered}"
         );
+    }
+
+    #[test]
+    fn commutative_float_ops_ignore_operand_order() {
+        // NaN payloads must not leak through in an operand-order
+        // dependent way: both evaluators give the same bits for (a, b)
+        // and (b, a), and every NaN result is the canonical one.
+        let values = [
+            0u32,
+            0x8000_0000,
+            0x3f80_0000,
+            0xbf80_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0000,
+            0x7fff_ffff,
+            0xffff_ffff,
+            0x7f80_0001,
+            0xffc0_1234,
+        ];
+        for opcode in [Opcode::Fadd, Opcode::Fmul, Opcode::Feql, Opcode::Fneq] {
+            let pf = pure_fn(opcode).expect("pure float op");
+            for &a in &values {
+                for &b in &values {
+                    let mut rf = RegFile::new();
+                    rf.write(r(2), a);
+                    rf.write(r(3), b);
+                    let mut mem = FlatMemory::new(1 << 12);
+                    let ab = Op::rrr(opcode, r(10), r(2), r(3));
+                    let ba = Op::rrr(opcode, r(10), r(3), r(2));
+                    let exec_ab = execute(&ab, &rf, &mut mem).unwrap().writes[0].unwrap().1;
+                    let exec_ba = execute(&ba, &rf, &mut mem).unwrap().writes[0].unwrap().1;
+                    let cell = format!("{opcode} a={a:#x} b={b:#x}");
+                    assert_eq!(pf(a, b, 0), pf(b, a, 0), "{cell}: pure fn");
+                    assert_eq!(exec_ab, exec_ba, "{cell}: execute");
+                    assert_eq!(exec_ab, pf(a, b, 0), "{cell}: pure fn vs execute");
+                    if f32::from_bits(exec_ab).is_nan() {
+                        assert_eq!(exec_ab, CANONICAL_NAN, "{cell}: NaN not canonical");
+                    }
+                }
+            }
+        }
     }
 }

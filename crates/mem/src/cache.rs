@@ -673,10 +673,10 @@ impl CacheArray {
     /// # Errors
     ///
     /// [`SnapshotError`] on truncation, a line count that does not match
-    /// this geometry, or undefined flag bits. The array state is
-    /// unspecified after an error.
+    /// this geometry, undefined flag bits or a counter out of range. The
+    /// array state is unspecified after an error.
     pub fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
-        self.tick = r.u64("cache tick")?;
+        self.tick = r.count("cache tick")?;
         self.stats = CacheStats::load_state(r)?;
         if r.u64("cache line count")? != self.lines.len() as u64 {
             return Err(SnapshotError::Corrupt {
@@ -729,18 +729,19 @@ impl CacheStats {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Truncated`] if the section runs out.
+    /// [`SnapshotError::Truncated`] if the section runs out,
+    /// [`SnapshotError::Corrupt`] on a counter out of range.
     pub fn load_state(r: &mut SectionReader<'_>) -> Result<CacheStats, SnapshotError> {
         Ok(CacheStats {
-            hits: r.u64("cache stats")?,
-            partial_hits: r.u64("cache stats")?,
-            misses: r.u64("cache stats")?,
-            fills: r.u64("cache stats")?,
-            refill_merges: r.u64("cache stats")?,
-            allocations: r.u64("cache stats")?,
-            copybacks: r.u64("cache stats")?,
-            copyback_bytes: r.u64("cache stats")?,
-            prefetch_hits: r.u64("cache stats")?,
+            hits: r.count("cache stats")?,
+            partial_hits: r.count("cache stats")?,
+            misses: r.count("cache stats")?,
+            fills: r.count("cache stats")?,
+            refill_merges: r.count("cache stats")?,
+            allocations: r.count("cache stats")?,
+            copybacks: r.count("cache stats")?,
+            copyback_bytes: r.count("cache stats")?,
+            prefetch_hits: r.count("cache stats")?,
         })
     }
 }

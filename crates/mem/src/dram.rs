@@ -157,12 +157,13 @@ impl Dram {
     /// # Errors
     ///
     /// [`tm3270_encode::SnapshotError::Truncated`] if the section runs
-    /// out.
+    /// out, [`tm3270_encode::SnapshotError::Corrupt`] on a counter or
+    /// cycle time out of range.
     pub fn load_state(
         &mut self,
         r: &mut tm3270_encode::SectionReader<'_>,
     ) -> Result<(), tm3270_encode::SnapshotError> {
-        self.free_at = r.f64("dram free_at")?;
+        self.free_at = r.clock("dram free_at")?;
         self.stats = DramStats::load_state(r)?;
         Ok(())
     }
@@ -182,14 +183,15 @@ impl DramStats {
     /// # Errors
     ///
     /// [`tm3270_encode::SnapshotError::Truncated`] if the section runs
-    /// out.
+    /// out, [`tm3270_encode::SnapshotError::Corrupt`] on a counter out of
+    /// range.
     pub fn load_state(
         r: &mut tm3270_encode::SectionReader<'_>,
     ) -> Result<DramStats, tm3270_encode::SnapshotError> {
         Ok(DramStats {
-            transfers: r.u64("dram stats")?,
-            demand_transfers: r.u64("dram stats")?,
-            bytes: r.u64("dram stats")?,
+            transfers: r.count("dram stats")?,
+            demand_transfers: r.count("dram stats")?,
+            bytes: r.count("dram stats")?,
             busy_cpu_cycles: r.f64("dram stats")?,
         })
     }

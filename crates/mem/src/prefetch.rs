@@ -234,9 +234,9 @@ impl PrefetchUnit {
     ///
     /// # Errors
     ///
-    /// [`tm3270_encode::SnapshotError`] on truncation or a queue longer
-    /// than this unit's capacity. The unit state is unspecified after an
-    /// error.
+    /// [`tm3270_encode::SnapshotError`] on truncation, a queue longer
+    /// than this unit's capacity, or a counter or completion time out of
+    /// range. The unit state is unspecified after an error.
     pub fn load_state(
         &mut self,
         r: &mut tm3270_encode::SectionReader<'_>,
@@ -260,7 +260,7 @@ impl PrefetchUnit {
         self.in_flight.clear();
         for _ in 0..in_flight {
             let base = r.u32("prefetch in-flight entry")?;
-            let completion = r.f64("prefetch in-flight entry")?;
+            let completion = r.clock("prefetch in-flight entry")?;
             self.in_flight.push((base, completion));
         }
         self.stats = PrefetchStats::load_state(r)?;
@@ -282,15 +282,16 @@ impl PrefetchStats {
     /// # Errors
     ///
     /// [`tm3270_encode::SnapshotError::Truncated`] if the section runs
-    /// out.
+    /// out, [`tm3270_encode::SnapshotError::Corrupt`] on a counter out of
+    /// range.
     pub fn load_state(
         r: &mut tm3270_encode::SectionReader<'_>,
     ) -> Result<PrefetchStats, tm3270_encode::SnapshotError> {
         Ok(PrefetchStats {
-            region_matches: r.u64("prefetch stats")?,
-            issued: r.u64("prefetch stats")?,
-            filtered: r.u64("prefetch stats")?,
-            dropped: r.u64("prefetch stats")?,
+            region_matches: r.count("prefetch stats")?,
+            issued: r.count("prefetch stats")?,
+            filtered: r.count("prefetch stats")?,
+            dropped: r.count("prefetch stats")?,
         })
     }
 }

@@ -446,17 +446,11 @@ impl MemorySystem {
         self.stats.loads += 1;
         let geom = self.config.dcache;
         let tracing = self.sink.enabled();
-        // Scalar accesses almost never straddle a line: peel the
-        // single-segment case past the segmentation iterator.
-        if addr & !(geom.line - 1) == addr.wrapping_add(len - 1) & !(geom.line - 1) {
-            self.load_segment(addr, len, tracing, geom);
-        } else {
-            for (seg, (a, n)) in Self::segments(geom, addr, len).enumerate() {
-                if seg == 1 {
-                    self.stats.line_crossers += 1;
-                }
-                self.load_segment(a, n, tracing, geom);
+        for (seg, (a, n)) in Self::segments(geom, addr, len).enumerate() {
+            if seg == 1 {
+                self.stats.line_crossers += 1;
             }
+            self.load_segment(a, n, tracing, geom);
         }
         // Region prefetch observation (§2.3): triggered by the load
         // address. With no active region the observation can't match
@@ -475,49 +469,37 @@ impl MemorySystem {
         }
     }
 
-    /// One line-confined segment of a demand store.
-    ///
-    /// Untraced stores use the fused lookup+write (one tag search); the
-    /// traced path keeps the split calls so event order is unchanged. A
-    /// miss still writes explicitly after the allocate/fill below.
+    /// One line-confined segment of a demand store: the fused
+    /// lookup+write (one tag search) on a present line; a miss writes
+    /// explicitly after the allocate/fill below.
     #[inline]
     fn store_segment(&mut self, a: u32, n: u32, tracing: bool, geom: CacheGeometry) {
-        let lookup = if tracing {
-            let l = self.dcache.lookup(a, n);
-            self.emit_cache_access(a, l, false);
-            l
-        } else {
-            self.dcache.lookup_write(a, n)
-        };
-        match lookup {
-            Lookup::Hit | Lookup::PartialHit => {
-                if tracing {
-                    self.dcache.write(a, n);
-                }
+        let lookup = self.dcache.lookup_write(a, n);
+        if tracing {
+            self.emit_cache_access(a, lookup, false);
+        }
+        if lookup != Lookup::Miss {
+            return;
+        }
+        if self.config.allocate_on_write_miss {
+            // Tag-only allocation: no fetch, no stall (§4.1).
+            if let Some(victim) = self.dcache.allocate(geom.line_base(a)) {
+                self.emit_evict(CacheId::Data, &victim);
+                self.background_request(victim.copyback_bytes, MemTxKind::Copyback);
             }
-            Lookup::Miss => {
-                if self.config.allocate_on_write_miss {
-                    // Tag-only allocation: no fetch, no stall (§4.1).
-                    if let Some(victim) = self.dcache.allocate(geom.line_base(a)) {
-                        self.emit_evict(CacheId::Data, &victim);
-                        self.background_request(victim.copyback_bytes, MemTxKind::Copyback);
-                    }
-                } else {
-                    // Fetch-on-write-miss: the line is read from
-                    // memory. The write buffer lets the store retire
-                    // without waiting for the data, so the fetch is
-                    // background traffic — its cost is the DRAM
-                    // bandwidth it consumes (back-pressure when the
-                    // BIU queue fills).
-                    self.background_request(geom.line, MemTxKind::WriteFetch);
-                    if let Some(victim) = self.dcache.fill(geom.line_base(a), false) {
-                        self.emit_evict(CacheId::Data, &victim);
-                        self.background_request(victim.copyback_bytes, MemTxKind::Copyback);
-                    }
-                }
-                self.dcache.write(a, n);
+        } else {
+            // Fetch-on-write-miss: the line is read from memory. The
+            // write buffer lets the store retire without waiting for the
+            // data, so the fetch is background traffic — its cost is the
+            // DRAM bandwidth it consumes (back-pressure when the BIU
+            // queue fills).
+            self.background_request(geom.line, MemTxKind::WriteFetch);
+            if let Some(victim) = self.dcache.fill(geom.line_base(a), false) {
+                self.emit_evict(CacheId::Data, &victim);
+                self.background_request(victim.copyback_bytes, MemTxKind::Copyback);
             }
         }
+        self.dcache.write(a, n);
     }
 
     /// Timing for a demand store of `len` bytes at `addr`.
@@ -525,16 +507,11 @@ impl MemorySystem {
         self.stats.stores += 1;
         let geom = self.config.dcache;
         let tracing = self.sink.enabled();
-        // Same single-segment peel as `access_load`.
-        if addr & !(geom.line - 1) == addr.wrapping_add(len - 1) & !(geom.line - 1) {
-            self.store_segment(addr, len, tracing, geom);
-        } else {
-            for (seg, (a, n)) in Self::segments(geom, addr, len).enumerate() {
-                if seg == 1 {
-                    self.stats.line_crossers += 1;
-                }
-                self.store_segment(a, n, tracing, geom);
+        for (seg, (a, n)) in Self::segments(geom, addr, len).enumerate() {
+            if seg == 1 {
+                self.stats.line_crossers += 1;
             }
+            self.store_segment(a, n, tracing, geom);
         }
         // Cache write buffer: drains up to two pending stores per cycle
         // (the 128-bit bit-write SRAM port absorbs merged stores, §4.2);
@@ -595,17 +572,8 @@ impl MemorySystem {
         let geom = self.config.icache;
         let len = len.max(1);
         let mut stall = 0.0;
-        // Single-segment peel: the fused engine probes 32-byte chunks
-        // that never straddle a line, so nearly every fetch lands here.
-        if addr & !(geom.line - 1) == addr.wrapping_add(len - 1) & !(geom.line - 1) {
-            stall = self.fetch_segment(now as f64, 0.0, addr, len, geom);
-            if stall == 0.0 {
-                return 0;
-            }
-        } else {
-            for (a, n) in Self::segments(geom, addr, len) {
-                stall += self.fetch_segment(now as f64, stall, a, n, geom);
-            }
+        for (a, n) in Self::segments(geom, addr, len) {
+            stall += self.fetch_segment(now as f64, stall, a, n, geom);
         }
         self.stats.instr_stall_cycles += stall;
         // Same libm-avoiding fast path as `take_stall`: almost every
@@ -657,9 +625,10 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on truncation or a mismatch against this
+    /// [`SnapshotError`] on truncation, a mismatch against this
     /// system's configuration (memory size, cache geometry, queue
-    /// capacity). The system state is unspecified after an error.
+    /// capacity), or a counter or clock out of range. The system state
+    /// is unspecified after an error.
     pub fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
         if r.u64("memory size")? != self.flat.len() as u64 {
             return Err(SnapshotError::Corrupt {
@@ -705,16 +674,17 @@ impl MemStats {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Truncated`] if the section runs out.
+    /// [`SnapshotError::Truncated`] if the section runs out,
+    /// [`SnapshotError::Corrupt`] on a counter out of range.
     pub fn load_state(r: &mut SectionReader<'_>) -> Result<MemStats, SnapshotError> {
         Ok(MemStats {
-            loads: r.u64("mem stats")?,
-            stores: r.u64("mem stats")?,
+            loads: r.count("mem stats")?,
+            stores: r.count("mem stats")?,
             data_stall_cycles: r.f64("mem stats")?,
             prefetch_wait_cycles: r.f64("mem stats")?,
             instr_stall_cycles: r.f64("mem stats")?,
-            ifetches: r.u64("mem stats")?,
-            line_crossers: r.u64("mem stats")?,
+            ifetches: r.count("mem stats")?,
+            line_crossers: r.count("mem stats")?,
         })
     }
 }
@@ -734,7 +704,8 @@ impl FullStats {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Truncated`] if the section runs out.
+    /// [`SnapshotError::Truncated`] if the section runs out,
+    /// [`SnapshotError::Corrupt`] on a counter out of range.
     pub fn load_state(r: &mut SectionReader<'_>) -> Result<FullStats, SnapshotError> {
         Ok(FullStats {
             mem: MemStats::load_state(r)?,

@@ -7,10 +7,10 @@
 //! [`tm3270_isa::execute`], a cloned [`MemorySystem`] and a `Vec` of
 //! pending register writes — the shape of the engine the
 //! `engine_equivalence` goldens were captured from. It has none of the
-//! engine's shortcuts: no latency-1 writeback lane, no fetch probe floor,
-//! no pure or fast-memory dispatch, no tracing. Every instruction probes
-//! its whole fetch window, starts the memory clock with `begin_instr`,
-//! and runs every operation through `execute`.
+//! engine's shortcuts: no bucketed writeback ring, no pure or fast-memory
+//! dispatch, no tracing. Every instruction probes its whole fetch window,
+//! starts the memory clock with `begin_instr`, and runs every operation
+//! through `execute`.
 
 use tm3270_core::{Machine, RunStats, SimError, DEFAULT_WATCHDOG_CYCLES};
 use tm3270_encode::SnapshotWriter;

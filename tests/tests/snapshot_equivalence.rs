@@ -222,3 +222,171 @@ fn foreign_headers_are_refused() {
         Err(SnapshotError::BadMagic)
     );
 }
+
+/// Payload offset of section `tag` in a `TM3S` blob.
+fn section_payload(bytes: &[u8], tag: [u8; 4]) -> usize {
+    let mut at = 8;
+    loop {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        if bytes[at..at + 4] == tag {
+            return at + 12;
+        }
+        at += 12 + len;
+    }
+}
+
+/// `bytes` with `value` written at `offset` into the payload of section
+/// `tag`, re-sealed with a valid checksum.
+fn reseal(bytes: &[u8], tag: [u8; 4], offset: usize, value: &[u8]) -> Snapshot {
+    let mut out = bytes.to_vec();
+    let at = section_payload(&out, tag) + offset;
+    out[at..at + value.len()].copy_from_slice(value);
+    let body_len = out.len() - 8;
+    let sum = tm3270_encode::snapshot::snapshot_checksum(&out[..body_len]);
+    out[body_len..].copy_from_slice(&sum.to_le_bytes());
+    Snapshot::from_bytes(out)
+}
+
+/// `CORE` payload offsets (see `Machine::snapshot`): pc, cycle, four
+/// instruction-buffer chunks, the buffer cursor, then the pending branch.
+const CORE_BRANCH_FLAG: usize = 40;
+const CORE_BRANCH_SLOTS: usize = 41;
+const CORE_LAST_PROGRESS: usize = 61;
+const CORE_INSTRS: usize = 77;
+
+fn core_u64(bytes: &[u8], offset: usize) -> u64 {
+    let at = section_payload(bytes, *b"CORE") + offset;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// An exit kind of the engine: its name, a builder of the fresh machine
+/// and the run budget that reaches that exit.
+type ExitKind = (&'static str, fn() -> Machine, u64);
+
+/// One machine per exit kind of the engine.
+fn exit_kinds() -> [ExitKind; 5] {
+    use tm3270_asm::ProgramBuilder;
+    use tm3270_isa::{Instr, IssueModel, Op, Opcode, Program, Reg};
+    fn workload() -> Machine {
+        build_cell(&registry(1)[0], &MachineConfig::evaluation_suite()[0], true)
+    }
+    fn misaligned() -> Machine {
+        let mut config = MachineConfig::tm3270();
+        config.mem.strict_access = true;
+        let mut b = ProgramBuilder::new(config.issue);
+        b.op(Op::imm(Reg::new(2), 2));
+        b.op(Op::rri(Opcode::Iaddi, Reg::new(4), Reg::new(2), 0));
+        b.op(Op::rri(Opcode::Ld32d, Reg::new(3), Reg::new(4), 0));
+        Machine::new(config, b.build().unwrap()).unwrap()
+    }
+    fn spin() -> Machine {
+        let mut b = ProgramBuilder::new(IssueModel::tm3270());
+        let top = b.bind_here();
+        b.jump(top);
+        let mut m = Machine::new(MachineConfig::tm3270(), b.build().unwrap()).unwrap();
+        m.set_watchdog(500);
+        m
+    }
+    fn double_branch() -> Machine {
+        let mut p = Program::new();
+        for target in [3, 4] {
+            let mut i = Instr::nop();
+            i.place(Op::new(Opcode::Jmpi, Reg::ONE, &[], &[], target), 1);
+            p.instrs.push(i);
+        }
+        for _ in 0..8 {
+            p.instrs.push(Instr::nop());
+        }
+        p.jump_targets = vec![3, 4];
+        Machine::new(MachineConfig::tm3270(), p).unwrap()
+    }
+    [
+        ("halt", workload, u64::MAX),
+        ("budget seam", workload, 200),
+        ("exec error", misaligned, 1_000_000),
+        ("watchdog", spin, 1_000_000),
+        ("branch in delay slot", double_branch, 1_000_000),
+    ]
+}
+
+/// `restore` accepts every state the engine leaves behind and rejects,
+/// as corrupt, checksum-valid states it can never produce and would
+/// misbehave on: a writeback cursor apart from the instruction count, a
+/// pending branch with no delay slots left, a counter one run could
+/// overflow, and a last-progress cycle after the current cycle.
+#[test]
+fn restore_accepts_exactly_the_states_the_engine_produces() {
+    for (kind, build, budget) in exit_kinds() {
+        let mut m = build();
+        let outcome = m.run_with(RunOptions::budget(budget)).into_result();
+        assert_eq!(outcome.is_ok(), kind == "halt", "{kind}: {outcome:?}");
+        let snapshot = m.snapshot();
+        let mut restored = build();
+        restored
+            .restore(&snapshot)
+            .unwrap_or_else(|e| panic!("{kind}: real snapshot refused: {e}"));
+        let resumed = restored.run_with(RunOptions::budget(budget)).into_result();
+        assert_eq!(resumed.is_ok(), outcome.is_ok(), "{kind}: resumed run");
+    }
+
+    let mut m = build_cell(&registry(1)[0], &MachineConfig::evaluation_suite()[0], true);
+    let _ = m.run_with(RunOptions::budget(200)).into_result();
+    let bytes = m.snapshot().into_bytes();
+    let instrs = core_u64(&bytes, CORE_INSTRS);
+    let cycle = m.cycle();
+    let crafted = [
+        (
+            "cursor ahead of the instruction count",
+            reseal(&bytes, *b"WRNG", 0, &(instrs + 5).to_le_bytes()),
+        ),
+        (
+            "cursor behind the instruction count",
+            reseal(&bytes, *b"WRNG", 0, &(instrs - 1).to_le_bytes()),
+        ),
+        (
+            "drained cursor on a running machine",
+            reseal(&bytes, *b"WRNG", 0, &u64::MAX.to_le_bytes()),
+        ),
+        ("pending branch with no slots left", {
+            let flagged = reseal(&bytes, *b"CORE", CORE_BRANCH_FLAG, &[1]).into_bytes();
+            reseal(&flagged, *b"CORE", CORE_BRANCH_SLOTS, &0u32.to_le_bytes())
+        }),
+        ("pending branch past the delay slots", {
+            let flagged = reseal(&bytes, *b"CORE", CORE_BRANCH_FLAG, &[1]).into_bytes();
+            reseal(&flagged, *b"CORE", CORE_BRANCH_SLOTS, &6u32.to_le_bytes())
+        }),
+        ("instruction count beyond the counter limit", {
+            let past = u64::MAX - 8;
+            let counted = reseal(&bytes, *b"CORE", CORE_INSTRS, &past.to_le_bytes()).into_bytes();
+            reseal(&counted, *b"WRNG", 0, &past.to_le_bytes())
+        }),
+        (
+            "last progress after the current cycle",
+            reseal(
+                &bytes,
+                *b"CORE",
+                CORE_LAST_PROGRESS,
+                &(cycle + 1).to_le_bytes(),
+            ),
+        ),
+    ];
+    let mut target = build_cell(
+        &registry(1)[0],
+        &MachineConfig::evaluation_suite()[0],
+        false,
+    );
+    for (what, snapshot) in crafted {
+        assert!(
+            matches!(
+                target.restore(&snapshot),
+                Err(SnapshotError::Corrupt { .. })
+            ),
+            "{what}: must be refused as corrupt"
+        );
+    }
+    // The cursor an exec error leaves (one past the instruction count)
+    // is a real state, so a seam snapshot carrying it restores.
+    let ahead = reseal(&bytes, *b"WRNG", 0, &(instrs + 1).to_le_bytes());
+    target.restore(&ahead).unwrap();
+    let _ = target.run_with(RunOptions::budget(400)).into_result();
+}

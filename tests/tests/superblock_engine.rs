@@ -371,3 +371,78 @@ fn traced_event_stream_is_pinned() {
     }
     assert_eq!(measured, PINNED, "per-kernel (events, digest)");
 }
+
+/// A latency-`load_latency` `ld32d r4` at instruction 2 and a latency-1
+/// `iadd r4` issued so both results land in the same slot. No scheduled
+/// program does this; the pipeline's rule is that the earlier-pushed
+/// write — the load — wins.
+fn same_slot_collision(config: &MachineConfig) -> tm3270_isa::Program {
+    use tm3270_isa::{Instr, Op, Opcode, Program, Reg};
+    let r = Reg::new;
+    let mut p = Program::new();
+    let mut setup = Instr::nop();
+    setup.place(Op::imm(r(2), 0x1000), 0);
+    setup.place(Op::imm(r(3), 0x1111), 1);
+    setup.place(Op::imm(r(5), 0x2000), 2);
+    setup.place(Op::imm(r(6), 0x0222), 3);
+    p.instrs.push(setup);
+    let mut store = Instr::nop();
+    store.place(Op::new(Opcode::St32d, Reg::ONE, &[r(2), r(3)], &[], 0), 3);
+    p.instrs.push(store);
+    let mut load = Instr::nop();
+    load.place(Op::rri(Opcode::Ld32d, r(4), r(2), 0), 4);
+    p.instrs.push(load);
+    for _ in 1..config.issue.load_latency - 1 {
+        p.instrs.push(Instr::nop());
+    }
+    let mut add = Instr::nop();
+    add.place(Op::rrr(Opcode::Iadd, r(4), r(5), r(6)), 0);
+    p.instrs.push(add);
+    for _ in 0..8 {
+        p.instrs.push(Instr::nop());
+    }
+    p
+}
+
+/// The same-slot writeback collision rule holds on every run path and in
+/// the reference model, on the TM3270 (load latency 4) and the TM3260
+/// (load latency 3).
+#[test]
+fn earlier_pushed_write_wins_a_same_slot_collision() {
+    for config in [MachineConfig::tm3270(), MachineConfig::tm3260()] {
+        let program = same_slot_collision(&config);
+        let fresh = Machine::new(config.clone(), program.clone()).unwrap();
+        let expected = run_reference(&fresh, 10_000).unwrap();
+
+        let mut untraced = Machine::new(config.clone(), program.clone()).unwrap();
+        let mut traced = Machine::new(config.clone(), program.clone()).unwrap();
+        traced.attach_sink(SinkHandle::from(Rc::new(RefCell::new(CounterSink::new()))));
+        let mut decoded = Machine::from_image(config.clone(), fresh.image().clone()).unwrap();
+        let mut stepped = Machine::new(config.clone(), program).unwrap();
+        while !stepped.is_halted() {
+            stepped.step().unwrap();
+        }
+        for (path, m) in [
+            ("untraced", &mut untraced),
+            ("sink-attached", &mut traced),
+            ("from_image", &mut decoded),
+            ("single-stepped", &mut stepped),
+        ] {
+            let stats = m
+                .run_with(RunOptions::budget(10_000))
+                .into_result()
+                .unwrap();
+            assert_eq!(
+                m.reg(tm3270_isa::Reg::new(4)),
+                0x1111,
+                "{}: {path}: the load must win",
+                config.name
+            );
+            assert!(
+                Outcome::of(m, stats) == expected,
+                "{}: {path} diverged from the reference model",
+                config.name
+            );
+        }
+    }
+}
