@@ -242,27 +242,23 @@ impl ProgramBuilder {
                         Terminator::FallThrough => unreachable!(),
                     };
                     // The branch reads its guard (and indirect target) at
-                    // issue; find when those values are architecturally
-                    // available.
+                    // issue, so it waits for those values. A taken branch
+                    // leaves the block after its delay slots, so it also
+                    // waits until every body operation can issue and every
+                    // result land by then: blocks drain all latencies on
+                    // both paths.
                     let mut guard_ready = 0usize;
+                    let mut drained = 0usize;
                     for (j, top) in block.ops.iter().enumerate() {
-                        let feeds_branch = top.op.dests().contains(&guard)
-                            || src.is_some_and(|r| top.op.dests().contains(&r));
-                        if feeds_branch {
-                            let lat = self.model.latency(top.op.opcode) as usize;
-                            guard_ready = guard_ready.max(body.issue_cycles[j] as usize + lat);
+                        let issue = body.issue_cycles[j] as usize;
+                        let land = issue + self.model.latency(top.op.opcode) as usize;
+                        drained = drained.max(land.max(issue + 1));
+                        let dests = top.op.dests();
+                        if dests.contains(&guard) || src.is_some_and(|r| dests.contains(&r)) {
+                            guard_ready = guard_ready.max(land);
                         }
                     }
-                    // Every body operation must issue inside the branch
-                    // shadow.
-                    let last_issue = body
-                        .issue_cycles
-                        .iter()
-                        .copied()
-                        .max()
-                        .map(|c| c as usize)
-                        .unwrap_or(0);
-                    let mut cb = guard_ready.max(last_issue.saturating_sub(delay));
+                    let mut cb = guard_ready.max(drained.saturating_sub(delay + 1));
                     // Find a free branch slot (issue slots 2..4, 0-based
                     // 1..=3) at or after `cb`.
                     let slot = loop {
@@ -302,9 +298,8 @@ impl ProgramBuilder {
         // Resolve labels and patch branch targets.
         let mut instrs = Vec::with_capacity(index);
         let mut jump_targets = Vec::new();
-        for (bi, s) in scheduled.iter().enumerate() {
-            let _ = bi;
-            let mut block_instrs = s.instrs.clone();
+        for s in scheduled {
+            let mut block_instrs = s.instrs;
             if let Some((cycle, slot, label)) = s.branch {
                 let target_block = self.label_blocks[label.0];
                 if target_block == usize::MAX {

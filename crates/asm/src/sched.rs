@@ -15,8 +15,7 @@
 //! * memory ordering with a small displacement-based alias analysis and
 //!   user-provided stream tags.
 
-use std::collections::HashMap;
-use tm3270_isa::{Instr, IssueModel, Op, Opcode, Unit};
+use tm3270_isa::{Instr, IssueModel, Op, Opcode, Unit, NUM_REGS};
 
 /// An operation tagged with scheduling metadata.
 #[derive(Debug, Clone, Copy)]
@@ -72,10 +71,6 @@ pub struct ScheduledBlock {
     pub issue_cycles: Vec<u64>,
 }
 
-fn is_mem(op: &Op) -> bool {
-    op.opcode.is_mem()
-}
-
 fn mem_footprint(op: &Op) -> u32 {
     match op.opcode {
         Opcode::St8d | Opcode::Ld8d | Opcode::Uld8d | Opcode::Ld8r | Opcode::Uld8r => 1,
@@ -110,86 +105,111 @@ fn may_alias(a: &TaggedOp, b: &TaggedOp) -> bool {
     }
 }
 
-/// Builds the dependence edges: `issue[j] >= issue[i] + delta`.
-fn build_deps(model: &IssueModel, ops: &[TaggedOp]) -> Vec<Vec<(usize, u64)>> {
+/// A block's dependence graph, `issue[j] >= issue[i] + delta`, held once
+/// as successor lists. They are built from the last op back, so op `i`'s
+/// successors `(j, delta)` are `edges[end[i + 1]..end[i]]`.
+struct Deps {
+    edges: Vec<(u32, u32)>,
+    end: Vec<u32>,
+    /// Critical-path height of each op: the scheduling priority.
+    height: Vec<u64>,
+    /// Predecessor edges of each op.
+    preds: Vec<u32>,
+}
+
+/// Stores and cache operations: ordered against every aliasing memory
+/// operation, while loads reorder freely among themselves.
+fn is_store(op: &Op) -> bool {
+    op.opcode.unit() == Unit::Store
+}
+
+/// Builds the dependence graph in one backward pass: RAW, WAW and WAR
+/// hazards (the guard counts as a read) against every later reader and
+/// writer of each register, and memory ordering against every later
+/// memory operation that may alias. Heights fall out of the same pass,
+/// since every successor of `i` is a later op.
+fn build_deps(model: &IssueModel, ops: &[TaggedOp]) -> Deps {
     let n = ops.len();
-    let mut deps: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    // Register hazards.
-    for j in 0..n {
-        let oj = &ops[j].op;
-        let mut reads_j: Vec<tm3270_isa::Reg> = oj.sources().to_vec();
-        reads_j.push(oj.guard);
-        for i in (0..j).rev() {
-            let oi = &ops[i].op;
-            let lat_i = u64::from(model.latency(oi.opcode));
-            // RAW: j reads something i writes.
-            for &d in oi.dests() {
-                if reads_j.contains(&d) {
-                    deps[j].push((i, lat_i));
-                }
-                // WAW: j rewrites a register i writes.
-                for &dj in oj.dests() {
-                    if dj == d {
-                        let lat_j = u64::from(model.latency(oj.opcode));
-                        let delta = (lat_i + 1).saturating_sub(lat_j);
-                        deps[j].push((i, delta));
-                    }
-                }
-            }
-            // WAR: j writes something i reads.
-            let mut reads_i: Vec<tm3270_isa::Reg> = oi.sources().to_vec();
-            reads_i.push(oi.guard);
-            for &dj in oj.dests() {
-                if reads_i.contains(&dj) {
-                    deps[j].push((i, 0));
-                }
+    let mut deps = Deps {
+        edges: Vec::new(),
+        end: vec![0; n + 1],
+        height: vec![0; n],
+        preds: vec![0; n],
+    };
+    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); NUM_REGS];
+    let mut writers: Vec<Vec<u32>> = vec![Vec::new(); NUM_REGS];
+    let mut mems: Vec<u32> = Vec::new();
+    for i in (0..n).rev() {
+        let op = &ops[i].op;
+        let lat = model.latency(op.opcode);
+        let mut reads = [op.guard; 5];
+        let mut n_reads = 1;
+        for &r in op.sources() {
+            if !reads[..n_reads].contains(&r) {
+                reads[n_reads] = r;
+                n_reads += 1;
             }
         }
-    }
-    // Memory ordering.
-    for j in 0..n {
-        if !is_mem(&ops[j].op) {
-            continue;
+        let reads = &reads[..n_reads];
+        let edges = &mut deps.edges;
+        let first = edges.len();
+        for &d in op.dests() {
+            edges.extend(readers[d.index()].iter().map(|&j| (j, lat)));
+            edges.extend(writers[d.index()].iter().map(|&j| {
+                let lat_j = model.latency(ops[j as usize].op.opcode);
+                (j, (lat + 1).saturating_sub(lat_j))
+            }));
         }
-        let j_store = ops[j].op.opcode.is_store() || ops[j].op.unit() == Unit::Store;
-        for i in 0..j {
-            if !is_mem(&ops[i].op) {
-                continue;
+        for r in reads {
+            edges.extend(writers[r.index()].iter().map(|&j| (j, 0)));
+        }
+        if op.opcode.is_mem() {
+            let store = is_store(op);
+            for &j in &mems {
+                let later = &ops[j as usize];
+                if (store || is_store(&later.op)) && may_alias(&ops[i], later) {
+                    edges.push((j, u32::from(store)));
+                }
             }
-            let i_store = ops[i].op.opcode.is_store() || ops[i].op.unit() == Unit::Store;
-            if !i_store && !j_store {
-                continue; // loads reorder freely among themselves
-            }
-            if !may_alias(&ops[i], &ops[j]) {
-                continue;
-            }
-            let delta = if i_store { 1 } else { 0 };
-            deps[j].push((i, delta));
+            mems.push(i as u32);
+        }
+        for &(j, delta) in &edges[first..] {
+            let j = j as usize;
+            deps.height[i] = deps.height[i].max(deps.height[j] + u64::from(delta.max(1)));
+            deps.preds[j] += 1;
+        }
+        deps.end[i] = edges.len() as u32;
+        for r in reads {
+            readers[r.index()].push(i as u32);
+        }
+        for d in op.dests() {
+            writers[d.index()].push(i as u32);
         }
     }
     deps
 }
 
-trait UnitExt {
-    fn unit(&self) -> Unit;
-}
-impl UnitExt for Op {
-    fn unit(&self) -> Unit {
-        self.opcode.unit()
-    }
-}
-
-/// Per-cycle structural state.
-#[derive(Debug, Default, Clone)]
+/// Per-cycle structural state: issue slots and load ports taken by ops
+/// issued in the cycle, and write-back ports taken by results landing in
+/// it (bit `s` is issue slot `s`).
+#[derive(Debug, Default, Clone, Copy)]
 struct Cycle {
-    slots: [bool; 5],
+    slots: u8,
     loads: u8,
+    ports: u8,
 }
 
 /// Schedules `ops` (program order) into VLIW instructions.
 ///
 /// `min_len` pads the block to at least that many instructions (used by
 /// the builder for jump delay slots).
+///
+/// Scheduling proceeds in rounds. An op becomes ready in the round after
+/// its last predecessor is placed; each round places its ready ops by
+/// critical-path height (program order breaks ties), each at the first
+/// cycle, then the first slot, that satisfies its dependences and the
+/// machine's resources. Building the graph and the rounds take time
+/// linear in the number of dependence edges, plus the first-fit scans.
 ///
 /// # Errors
 ///
@@ -200,145 +220,85 @@ pub fn schedule_block(
     min_len: usize,
 ) -> Result<ScheduledBlock, SchedError> {
     let n = ops.len();
-    let deps = build_deps(model, ops);
-
-    // Critical-path heights for priority.
-    let mut height = vec![0u64; n];
-    for i in (0..n).rev() {
-        // height of i = max over successors; recompute from deps of j > i.
-        for j in i + 1..n {
-            for &(p, delta) in &deps[j] {
-                if p == i {
-                    height[i] = height[i].max(height[j] + delta.max(1));
-                }
-            }
-        }
-    }
-
-    let mut issue: Vec<Option<u64>> = vec![None; n];
+    let Deps {
+        edges,
+        end,
+        height,
+        mut preds,
+    } = build_deps(model, ops);
+    let mut earliest = vec![0u64; n];
+    let mut issue = vec![0u64; n];
+    let mut slot = vec![0u8; n];
     let mut cycles: Vec<Cycle> = Vec::new();
-    let mut wb: HashMap<(u64, usize), bool> = HashMap::new();
-    let mut remaining: Vec<usize> = (0..n).collect();
-
-    let ensure_cycle = |cycles: &mut Vec<Cycle>, c: usize| {
-        while cycles.len() <= c {
-            cycles.push(Cycle::default());
-        }
-    };
-
-    let mut placed_slots: Vec<usize> = vec![0; n];
-    while !remaining.is_empty() {
-        // Earliest cycle per remaining op given already-scheduled preds.
-        let mut ready: Vec<(usize, u64)> = Vec::new();
-        'op: for &j in &remaining {
-            let mut t = 0u64;
-            for &(p, delta) in &deps[j] {
-                match issue[p] {
-                    Some(c) => t = t.max(c + delta),
-                    None => continue 'op, // pred unscheduled
-                }
-            }
-            ready.push((j, t));
-        }
+    let mut ready: Vec<usize> = (0..n).filter(|&j| preds[j] == 0).collect();
+    let mut next: Vec<usize> = Vec::new();
+    while !ready.is_empty() {
         // Highest critical path first; ties by program order.
-        ready.sort_by_key(|&(j, _)| (std::cmp::Reverse(height[j]), j));
-
-        let mut progress = false;
-        for (j, earliest) in ready {
-            if issue[j].is_some() {
-                continue;
-            }
+        ready.sort_unstable_by_key(|&j| (std::cmp::Reverse(height[j]), j));
+        for &j in &ready {
             let op = &ops[j].op;
+            let mnemonic = op.opcode.mnemonic();
             let allowed = model.allowed_slots(op.opcode);
             if allowed.is_empty() {
-                return Err(SchedError::NoSlot {
-                    mnemonic: op.opcode.mnemonic(),
-                });
+                return Err(SchedError::NoSlot { mnemonic });
             }
-            let lat = u64::from(model.latency(op.opcode));
+            let lat = model.latency(op.opcode) as usize;
             let is_load = op.opcode.is_load();
-            let two_slot = op.opcode.is_two_slot();
-            let n_dsts = op.dests().len();
-            let mut placed = false;
-            for c in earliest..earliest + 100_000 {
-                ensure_cycle(&mut cycles, c as usize);
-                let cy = &cycles[c as usize];
-                if is_load && cy.loads >= model.loads_per_instr {
-                    continue;
-                }
-                for &s in allowed {
-                    let free = !cy.slots[s] && (!two_slot || !cy.slots[s + 1]);
-                    if !free {
-                        continue;
+            let width: u8 = if op.opcode.is_two_slot() { 0b11 } else { 0b01 };
+            let ports: u8 = match op.dests().len() {
+                0 => 0,
+                1 => 0b01,
+                _ => 0b11,
+            };
+            let (c, s) = (earliest[j]..earliest[j] + 100_000)
+                .find_map(|c| {
+                    let c = c as usize;
+                    if cycles.len() <= c + lat {
+                        cycles.resize(c + lat + 1, Cycle::default());
                     }
-                    // Write-back port check.
-                    let wb_ok = match n_dsts {
-                        0 => true,
-                        1 => !wb.contains_key(&(c + lat, s)),
-                        _ => !wb.contains_key(&(c + lat, s)) && !wb.contains_key(&(c + lat, s + 1)),
+                    if is_load && cycles[c].loads >= model.loads_per_instr {
+                        return None;
+                    }
+                    let free = |&&s: &&usize| {
+                        cycles[c].slots & (width << s) == 0
+                            && cycles[c + lat].ports & (ports << s) == 0
                     };
-                    if !wb_ok {
-                        continue;
-                    }
-                    // Place.
-                    let cy = &mut cycles[c as usize];
-                    cy.slots[s] = true;
-                    if two_slot {
-                        cy.slots[s + 1] = true;
-                    }
-                    if is_load {
-                        cy.loads += 1;
-                    }
-                    if n_dsts >= 1 {
-                        wb.insert((c + lat, s), true);
-                    }
-                    if n_dsts >= 2 {
-                        wb.insert((c + lat, s + 1), true);
-                    }
-                    issue[j] = Some(c);
-                    placed_slots[j] = s;
-                    placed = true;
-                    progress = true;
-                    break;
-                }
-                if placed {
-                    break;
+                    allowed.iter().find(free).map(|&s| (c, s))
+                })
+                .ok_or(SchedError::Unschedulable { mnemonic })?;
+            cycles[c].slots |= width << s;
+            cycles[c].loads += u8::from(is_load);
+            cycles[c + lat].ports |= ports << s;
+            issue[j] = c as u64;
+            slot[j] = s as u8;
+            for &(k, delta) in &edges[end[j + 1] as usize..end[j] as usize] {
+                let k = k as usize;
+                earliest[k] = earliest[k].max(c as u64 + u64::from(delta));
+                preds[k] -= 1;
+                if preds[k] == 0 {
+                    next.push(k);
                 }
             }
-            if !placed {
-                return Err(SchedError::Unschedulable {
-                    mnemonic: op.opcode.mnemonic(),
-                });
-            }
         }
-        remaining.retain(|&j| issue[j].is_none());
-        if !progress && !remaining.is_empty() {
-            return Err(SchedError::Unschedulable {
-                mnemonic: ops[remaining[0]].op.opcode.mnemonic(),
-            });
-        }
+        ready.clear();
+        std::mem::swap(&mut ready, &mut next);
     }
 
-    // Materialize instructions.
-    let len = cycles.len().max(min_len).max(
-        // All results must land inside the block (drain semantics at
-        // block boundaries keeps cross-block schedules correct without
-        // global liveness analysis).
-        (0..n)
-            .map(|j| {
-                let lat = u64::from(model.latency(ops[j].op.opcode));
-                (issue[j].unwrap() + lat) as usize
-            })
-            .max()
-            .unwrap_or(0),
-    );
+    // Materialize instructions. The block covers every issue cycle and,
+    // so that cross-block schedules stay correct without global liveness
+    // analysis, every result landing (drain semantics).
+    let len = (0..n)
+        .map(|j| issue[j] as usize + (model.latency(ops[j].op.opcode) as usize).max(1))
+        .max()
+        .unwrap_or(0)
+        .max(min_len);
     let mut instrs = vec![Instr::nop(); len];
     for j in 0..n {
-        instrs[issue[j].unwrap() as usize].place(ops[j].op, placed_slots[j]);
+        instrs[issue[j] as usize].place(ops[j].op, usize::from(slot[j]));
     }
     Ok(ScheduledBlock {
         instrs,
-        issue_cycles: issue.into_iter().map(|c| c.unwrap()).collect(),
+        issue_cycles: issue,
     })
 }
 

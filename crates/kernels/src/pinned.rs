@@ -145,7 +145,7 @@ const PINNED: &[Cell] = &[
         1153198,
     ),
     ("TM3270 (config D)", "mpeg2_c", 275649, 523959),
-    ("TM3260 (config A)", "filmdet", 172806, 421390),
+    ("TM3260 (config A)", "filmdet", 183605, 432189),
     (
         "TM3270 core, 16KB D$ @ 240 MHz (config B)",
         "filmdet",

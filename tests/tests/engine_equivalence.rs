@@ -617,8 +617,8 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "filmdet",
         config: "TM3260 (config A)",
-        cycles: 421390,
-        instrs: 172806,
+        cycles: 432189,
+        instrs: 183605,
         ops: 442810,
         exec_ops: 442809,
         branches: 10800,
@@ -628,7 +628,7 @@ const GOLDENS: &[Golden] = &[
         dcache_misses: 5401,
         dram_bytes: 345920,
         reg_digest: 0x52aa81390adaf565,
-        checksum: 0xea6113ad089a2dbd,
+        checksum: 0x03cfef52058ef41e,
     },
     Golden {
         kernel: "filmdet",

@@ -5,6 +5,10 @@
 //! as a sequential functional interpretation of the original operation
 //! list.
 //!
+//! Counted loops around random bodies extend the property across block
+//! boundaries: a taken branch must not leave its block before every
+//! result of the block has landed.
+//!
 //! This is the strongest cross-crate invariant in the reproduction: it
 //! exercises `tm3270-isa` semantics, the `tm3270-asm` dependence analysis
 //! and slot/latency scheduling, the `tm3270-encode` round-trip (the
@@ -14,7 +18,7 @@
 use tm3270_asm::ProgramBuilder;
 use tm3270_core::{Machine, MachineConfig, RunOptions};
 use tm3270_fault::SmallRng;
-use tm3270_isa::{execute, FlatMemory, Op, Opcode, Reg, RegFile};
+use tm3270_isa::{execute, FlatMemory, Op, Opcode, Program, Reg, RegFile};
 
 const BINARY_OPS: &[Opcode] = &[
     Opcode::Iadd,
@@ -130,6 +134,44 @@ fn interpret(ops: &[Op], mem_size: usize) -> (RegFile, FlatMemory) {
     (rf, mem)
 }
 
+/// Runs `program` to completion and requires the machine to end in the
+/// sequential reference state: every register and the first 4 KB of
+/// memory.
+fn assert_matches(
+    config: MachineConfig,
+    program: Program,
+    want: &(RegFile, FlatMemory),
+    case: &str,
+) {
+    let (ref_rf, ref_mem) = want;
+    let mut machine = Machine::new(config, program).expect("encodable");
+    let stats = machine
+        .run_with(RunOptions::budget(10_000_000))
+        .into_result()
+        .expect("halts");
+    assert!(stats.cycles > 0);
+    for i in 0..128u8 {
+        let r = Reg::new(i);
+        assert_eq!(
+            machine.reg(r),
+            ref_rf.read(r),
+            "{case}: register {r} differs"
+        );
+    }
+    let got = machine.read_data(0, 4096);
+    let mut want = vec![0u8; 4096];
+    ref_mem.read_into(0, &mut want);
+    assert_eq!(&got[..], &want[..], "{case}: memory");
+}
+
+fn random_config(rng: &mut SmallRng) -> MachineConfig {
+    if rng.chance(1, 2) {
+        MachineConfig::tm3270()
+    } else {
+        MachineConfig::tm3260()
+    }
+}
+
 #[test]
 fn scheduled_machine_matches_sequential_interpretation() {
     let mut rng = SmallRng::new(0x5c4e_d001);
@@ -137,39 +179,84 @@ fn scheduled_machine_matches_sequential_interpretation() {
         let ops: Vec<Op> = (0..1 + rng.index(59))
             .map(|_| random_op(&mut rng))
             .collect();
-        let config = if rng.chance(1, 2) {
-            MachineConfig::tm3270()
-        } else {
-            MachineConfig::tm3260()
-        };
+        let config = random_config(&mut rng);
         // Base registers start at 0, so all memory traffic lands in the
         // first pages of the flat memory.
-        let (ref_rf, ref_mem) = interpret(&ops, config.mem.mem_size);
+        let want = interpret(&ops, config.mem.mem_size);
 
         let mut b = ProgramBuilder::new(config.issue);
         for &op in &ops {
             b.op(op);
         }
         let program = b.build().expect("random dataflow must schedule");
-        let mut machine = Machine::new(config, program).expect("encodable");
-        let stats = machine
-            .run_with(RunOptions::budget(10_000_000))
-            .into_result()
-            .expect("halts");
-        assert!(stats.cycles > 0);
+        assert_matches(config, program, &want, &format!("case {case}"));
+    }
+}
 
-        for i in 0..128u8 {
-            let r = Reg::new(i);
-            assert_eq!(
-                machine.reg(r),
-                ref_rf.read(r),
-                "case {case}: register {r} differs"
-            );
-        }
-        // Compare the touched memory window.
-        let got = machine.read_data(0, 4096);
-        let mut want = vec![0u8; 4096];
-        ref_mem.read_into(0, &mut want);
-        assert_eq!(&got[..], &want[..], "case {case}: memory");
+/// Builds `prelude`, then a loop that runs `body` `iterations` times, and
+/// returns the program with the sequential reference state. The loop
+/// counter lives in r20 and the branch guard in r21, outside the bodies'
+/// registers.
+fn counted_loop(
+    config: &MachineConfig,
+    prelude: &[Op],
+    body: &[Op],
+    iterations: i32,
+) -> (Program, (RegFile, FlatMemory)) {
+    let (counter, cond) = (Reg::new(20), Reg::new(21));
+    let mut sequential = prelude.to_vec();
+    sequential.push(Op::imm(counter, iterations));
+    let mut b = ProgramBuilder::new(config.issue);
+    for &op in &sequential {
+        b.op(op);
+    }
+    let top = b.bind_here();
+    let step = [
+        Op::rri(Opcode::Iaddi, counter, counter, -1),
+        Op::rri(Opcode::Igtri, cond, counter, 0),
+    ];
+    for &op in body.iter().chain(&step) {
+        b.op(op);
+    }
+    b.jump_if(cond, top);
+    for _ in 0..iterations {
+        sequential.extend_from_slice(body);
+        sequential.extend_from_slice(&step);
+    }
+    let program = b.build().expect("counted loop must schedule");
+    (program, interpret(&sequential, config.mem.mem_size))
+}
+
+/// A taken branch leaves its block only after every register result of
+/// the block has landed: here the last `imul` (latency 3) of one
+/// iteration feeds the `iaddi` at the top of the next.
+#[test]
+fn taken_branch_waits_for_every_result_to_land() {
+    let (acc, x, x2, x3) = (Reg::new(3), Reg::new(4), Reg::new(5), Reg::new(6));
+    let body = [
+        Op::rri(Opcode::Iaddi, x, acc, 0),
+        Op::rrr(Opcode::Imul, x2, x, x),
+        Op::rrr(Opcode::Imul, x3, x2, x),
+        Op::rrr(Opcode::Imul, acc, x3, x),
+    ];
+    for config in [MachineConfig::config_a(), MachineConfig::config_d()] {
+        let (program, want) = counted_loop(&config, &[Op::imm(acc, 3)], &body, 5);
+        // acc = 3^(4^5) mod 2^32.
+        assert_eq!(want.0.read(acc), 0x9023_d001);
+        assert_matches(config.clone(), program, &want, config.name);
+    }
+}
+
+#[test]
+fn counted_loops_match_sequential_interpretation() {
+    let mut rng = SmallRng::new(0x100b_5eed);
+    for case in 0..48 {
+        let body: Vec<Op> = (0..1 + rng.index(24))
+            .map(|_| random_op(&mut rng))
+            .collect();
+        let config = random_config(&mut rng);
+        let iterations = 1 + rng.range_i32(0, 5);
+        let (program, want) = counted_loop(&config, &[], &body, iterations);
+        assert_matches(config, program, &want, &format!("loop case {case}"));
     }
 }
