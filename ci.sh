@@ -11,8 +11,8 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== cargo test --release (isa unit tests: results must not depend on the build profile) =="
-cargo test --release -q -p tm3270-isa --lib
+echo "== cargo test --release (every isa test target: results must not depend on the build profile) =="
+cargo test --release -q -p tm3270-isa
 
 echo "== cargo clippy =="
 cargo clippy -q --all-targets -- -D warnings

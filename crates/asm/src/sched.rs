@@ -15,7 +15,7 @@
 //! * memory ordering with a small displacement-based alias analysis and
 //!   user-provided stream tags.
 
-use tm3270_isa::{Instr, IssueModel, Op, Opcode, Unit, NUM_REGS};
+use tm3270_isa::{Access, Instr, IssueModel, Op, Unit, NUM_REGS};
 
 /// An operation tagged with scheduling metadata.
 #[derive(Debug, Clone, Copy)]
@@ -71,16 +71,6 @@ pub struct ScheduledBlock {
     pub issue_cycles: Vec<u64>,
 }
 
-fn mem_footprint(op: &Op) -> u32 {
-    match op.opcode {
-        Opcode::St8d | Opcode::Ld8d | Opcode::Uld8d | Opcode::Ld8r | Opcode::Uld8r => 1,
-        Opcode::St16d | Opcode::Ld16d | Opcode::Uld16d | Opcode::Ld16r | Opcode::Uld16r => 2,
-        Opcode::LdFrac8 => 5,
-        Opcode::SuperLd32r => 8,
-        _ => 4,
-    }
-}
-
 /// Conservative may-alias test between two memory operations.
 fn may_alias(a: &TaggedOp, b: &TaggedOp) -> bool {
     if let (Some(sa), Some(sb)) = (a.stream, b.stream) {
@@ -97,7 +87,8 @@ fn may_alias(a: &TaggedOp, b: &TaggedOp) -> bool {
             return None;
         }
         let lo = i64::from(op.imm);
-        Some((op.srcs[0], lo, lo + i64::from(mem_footprint(op))))
+        let bytes = op.opcode.access().map_or(4, Access::bytes);
+        Some((op.srcs[0], lo, lo + i64::from(bytes)))
     };
     match (base(a), base(b)) {
         (Some((ra, lo_a, hi_a)), Some((rb, lo_b, hi_b))) if ra == rb => lo_a < hi_b && lo_b < hi_a,
@@ -305,7 +296,7 @@ pub fn schedule_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm3270_isa::Reg;
+    use tm3270_isa::{Opcode, Reg};
 
     fn r(i: u8) -> Reg {
         Reg::new(i)

@@ -16,8 +16,8 @@ use tm3270_encode::{
     SnapshotReader, SnapshotWriter,
 };
 use tm3270_isa::{
-    execute, ld_frac8_value, pure_fn, super_ld32_words, value::sign_extend, DataMemory, ExecError,
-    Op, Opcode, Program, PureFn, Reg, RegFile,
+    execute, ld_frac8_value, pure_fn, super_ld32_words, value::sign_extend, Access, DataMemory,
+    ExecError, Op, Program, PureFn, Reg, RegFile,
 };
 use tm3270_mem::{FullStats, MemorySystem, Region};
 use tm3270_obs::{SinkHandle, StallCause, TraceEvent};
@@ -367,71 +367,18 @@ struct PlannedOp {
     /// fused dispatch loop skip the full opcode match and `ExecResult`
     /// plumbing. `None` routes the op through [`execute`] unchanged.
     pure: Option<PureFn>,
-    /// Pre-decoded shape of a simple load/store, the memory-side
+    /// The op's access shape
+    /// ([`Opcode::access`](tm3270_isa::Opcode::access)), the memory-side
     /// analogue of `pure`: the fused loop computes the address and calls
     /// the memory system directly instead of going through the full
     /// [`execute`] match. `None` for everything else (cache control,
     /// prefetch MMIO) — those take the generic path.
-    fast_mem: Option<FastMem>,
+    fast_mem: Option<Access>,
     /// Whether the op touches the memory unit at all
-    /// ([`Opcode::is_mem`]): a guard-true memory op on the generic path
-    /// counts as a full-model call in [`EngineTelemetry::mem_calls`].
+    /// ([`Opcode::is_mem`](tm3270_isa::Opcode::is_mem)): a guard-true
+    /// memory op on the generic path counts as a full-model call in
+    /// [`EngineTelemetry::mem_calls`].
     mem: bool,
-}
-
-/// Addressing/width shape of a directly dispatched memory operation;
-/// see [`PlannedOp::fast_mem`]. Covers the `ld*`/`uld*`/`st*` scalar
-/// opcodes plus the two multi-byte load super-ops (`super_ld32r`,
-/// `ld_frac8`) whose semantics are "compute address, move a fixed byte
-/// count, derive the destination value(s)" — byte-for-byte the
-/// `execute` arms they replace (the value derivations are the shared
-/// [`ld_frac8_value`]/[`super_ld32_words`] helpers). Everything else
-/// (cache control, prefetch MMIO) takes the generic path.
-#[derive(Debug, Clone, Copy)]
-enum FastMem {
-    /// Scalar load. `indexed` selects register (`*r`) vs displacement
-    /// (`*d`) addressing; `sext` marks the signed variants.
-    Load {
-        bytes: u8,
-        sext: bool,
-        indexed: bool,
-    },
-    /// Scalar displacement store of 1/2/4 bytes.
-    Store { bytes: u8 },
-    /// `super_ld32r`: an 8-byte indexed load feeding two destination
-    /// words with big-endian byte placement (Table 2).
-    SuperLoad,
-    /// `ld_frac8`: the 5-byte collapsed load with fractional
-    /// interpolation (§2.2.2).
-    FracLoad,
-}
-
-/// Classifies an opcode for the fused fast-memory path.
-fn fast_mem(op: Opcode) -> Option<FastMem> {
-    use Opcode::*;
-    let f = |bytes, sext, indexed| FastMem::Load {
-        bytes,
-        sext,
-        indexed,
-    };
-    Some(match op {
-        Ld8d => f(1, true, false),
-        Uld8d => f(1, false, false),
-        Ld16d => f(2, true, false),
-        Uld16d => f(2, false, false),
-        Ld32d => f(4, false, false),
-        Ld8r => f(1, true, true),
-        Uld8r => f(1, false, true),
-        Ld16r => f(2, true, true),
-        Uld16r => f(2, false, true),
-        Ld32r => f(4, false, true),
-        St8d => FastMem::Store { bytes: 1 },
-        St16d => FastMem::Store { bytes: 2 },
-        St32d => FastMem::Store { bytes: 4 },
-        SuperLd32r => FastMem::SuperLoad,
-        LdFrac8 => FastMem::FracLoad,
-        _ => return None,
-    })
 }
 
 /// Per-instruction metadata of the issue plan: the occupied-slot range
@@ -485,7 +432,7 @@ impl IssuePlan {
                     latency: issue.latency(op.opcode) as u8,
                     is_jump: op.opcode.is_jump(),
                     pure: pure_fn(op.opcode),
-                    fast_mem: fast_mem(op.opcode),
+                    fast_mem: op.opcode.access(),
                     mem: op.opcode.is_mem(),
                 });
             }
@@ -1026,10 +973,11 @@ impl Machine {
     ///
     /// - Register-pure ops dispatch through their precomputed
     ///   [`PureFn`] pointer (guard check + evaluate + scoreboard push),
-    ///   and simple loads/stores through [`FastMem`], skipping the full
-    ///   opcode match and [`ExecResult`](tm3270_isa::ExecResult)
-    ///   plumbing. Jumps, cache control, prefetch MMIO and everything
-    ///   else take the generic [`execute`] path.
+    ///   and simple loads/stores through their [`Access`] shape,
+    ///   skipping the full opcode match and
+    ///   [`ExecResult`](tm3270_isa::ExecResult) plumbing. Jumps, cache
+    ///   control, prefetch MMIO and everything else take the generic
+    ///   [`execute`] path.
     /// - Run statistics accumulate in locals and flush to `self` on
     ///   every exit path, so budget boundaries, halts and errors observe
     ///   exact counters.
@@ -1171,7 +1119,7 @@ impl Machine {
                         exec_here += 1;
                         progress = true;
                         let err = match fm {
-                            FastMem::Load {
+                            Access::Load {
                                 bytes,
                                 sext,
                                 indexed,
@@ -1197,7 +1145,7 @@ impl Machine {
                                     Err(e) => Some(e),
                                 }
                             }
-                            FastMem::Store { bytes } => {
+                            Access::Store { bytes } => {
                                 let addr =
                                     self.regs.read(po.op.srcs[0]).wrapping_add(po.op.imm as u32);
                                 match self.mem.check_access(addr, u32::from(bytes)) {
@@ -1210,7 +1158,7 @@ impl Machine {
                                     Err(e) => Some(e),
                                 }
                             }
-                            FastMem::SuperLoad => {
+                            Access::SuperLoad => {
                                 let addr = self
                                     .regs
                                     .read(po.op.srcs[0])
@@ -1228,7 +1176,7 @@ impl Machine {
                                     Err(e) => Some(e),
                                 }
                             }
-                            FastMem::FracLoad => {
+                            Access::FracLoad => {
                                 let addr = self.regs.read(po.op.srcs[0]);
                                 match self.mem.check_access(addr, 5) {
                                     Ok(()) => {

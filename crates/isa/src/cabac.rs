@@ -172,7 +172,7 @@ pub fn cabac_decode_step(s: CabacState, stream_data: u32, stream_bit_position: u
         value = (value << 1) | ((stream_data_aligned >> 31) & 1) as u16;
         range <<= 1;
         stream_data_aligned <<= 1;
-        pos += 1;
+        pos = pos.wrapping_add(1);
         shifts += 1;
     }
 

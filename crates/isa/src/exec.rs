@@ -7,7 +7,7 @@
 
 use crate::cabac::{cabac_decode_step, CabacState};
 use crate::op::Op;
-use crate::opcode::Opcode;
+use crate::opcode::{pure_fn, Access, Opcode};
 use crate::reg::{Reg, RegFile};
 use crate::value::*;
 
@@ -472,32 +472,6 @@ impl ExecResult {
     }
 }
 
-#[inline]
-fn f(v: u32) -> f32 {
-    f32::from_bits(v)
-}
-
-/// The register image of every NaN float result: the default quiet NaN.
-const CANONICAL_NAN: u32 = 0x7fc0_0000;
-
-/// The register bits of a float result. IEEE 754 leaves open which NaN
-/// operand's payload an operation propagates, and the compiler may swap
-/// the operands of a commutative one, so a propagated payload would
-/// depend on the build: every NaN becomes [`CANONICAL_NAN`] instead.
-#[inline]
-fn fb(v: f32) -> u32 {
-    if v.is_nan() {
-        CANONICAL_NAN
-    } else {
-        v.to_bits()
-    }
-}
-
-#[inline]
-fn b32(c: bool) -> u32 {
-    u32::from(c)
-}
-
 /// The destination value of `LD_FRAC8` given its five loaded bytes and
 /// the fraction operand: four overlapping [`interp_frac16`]
 /// interpolations packed little-endian ([`pack_quad8`]). Shared between
@@ -537,6 +511,10 @@ pub fn super_ld32_words(buf: [u8; 8]) -> (u32, u32) {
 /// [`DataMemory::check_access`] before any architectural effect; a
 /// strict memory turns wild addresses into [`ExecError`]s here instead
 /// of silently wrapping. Non-memory operations are infallible.
+///
+/// Only operations with memory traffic, control flow, two destinations
+/// or more than two sources have arms here; every register-pure
+/// operation evaluates its opcode-table closure ([`pure_fn`]).
 pub fn execute<M: DataMemory + ?Sized>(
     op: &Op,
     rf: &RegFile,
@@ -556,287 +534,8 @@ pub fn execute<M: DataMemory + ?Sized>(
     let imm = op.imm;
 
     Ok(match op.opcode {
-        // --- constants / immediate arithmetic ---
-        Iimm => ExecResult::one(d(0), imm as u32),
-        Iaddi => ExecResult::one(d(0), s(0).wrapping_add(imm as u32)),
-        Isubi => ExecResult::one(d(0), s(0).wrapping_sub(imm as u32)),
-        // `iori` ORs in a 12-bit zero-extended immediate; it exists so the
-        // assembler can synthesize 32-bit constants in two operations.
-        Iori => ExecResult::one(d(0), s(0) | (imm as u32 & 0xfff)),
-
-        // --- integer ALU ---
-        Iadd => ExecResult::one(d(0), s(0).wrapping_add(s(1))),
-        Isub => ExecResult::one(d(0), s(0).wrapping_sub(s(1))),
-        Ineg => ExecResult::one(d(0), (s(0) as i32).wrapping_neg() as u32),
-        Iabs => ExecResult::one(d(0), (s(0) as i32).wrapping_abs() as u32),
-        Iand => ExecResult::one(d(0), s(0) & s(1)),
-        Ior => ExecResult::one(d(0), s(0) | s(1)),
-        Ixor => ExecResult::one(d(0), s(0) ^ s(1)),
-        Bitinv => ExecResult::one(d(0), !s(0)),
-        Bitandinv => ExecResult::one(d(0), s(0) & !s(1)),
-        Sex8 => ExecResult::one(d(0), sign_extend(s(0), 8)),
-        Sex16 => ExecResult::one(d(0), sign_extend(s(0), 16)),
-        Zex8 => ExecResult::one(d(0), s(0) & 0xff),
-        Zex16 => ExecResult::one(d(0), s(0) & 0xffff),
-        Imin => ExecResult::one(d(0), (s(0) as i32).min(s(1) as i32) as u32),
-        Imax => ExecResult::one(d(0), (s(0) as i32).max(s(1) as i32) as u32),
-        Umin => ExecResult::one(d(0), s(0).min(s(1))),
-        Umax => ExecResult::one(d(0), s(0).max(s(1))),
-        Ieql => ExecResult::one(d(0), b32(s(0) == s(1))),
-        Ineq => ExecResult::one(d(0), b32(s(0) != s(1))),
-        Igtr => ExecResult::one(d(0), b32((s(0) as i32) > (s(1) as i32))),
-        Igeq => ExecResult::one(d(0), b32((s(0) as i32) >= (s(1) as i32))),
-        Iles => ExecResult::one(d(0), b32((s(0) as i32) < (s(1) as i32))),
-        Ileq => ExecResult::one(d(0), b32((s(0) as i32) <= (s(1) as i32))),
-        Ugtr => ExecResult::one(d(0), b32(s(0) > s(1))),
-        Ugeq => ExecResult::one(d(0), b32(s(0) >= s(1))),
-        Ules => ExecResult::one(d(0), b32(s(0) < s(1))),
-        Uleq => ExecResult::one(d(0), b32(s(0) <= s(1))),
-        Ieqli => ExecResult::one(d(0), b32(s(0) as i32 == imm)),
-        Igtri => ExecResult::one(d(0), b32(s(0) as i32 > imm)),
-        Ilesi => ExecResult::one(d(0), b32((s(0) as i32) < imm)),
-        Inonzero => ExecResult::one(d(0), b32(s(0) != 0)),
-        Izero => ExecResult::one(d(0), b32(s(0) == 0)),
-        Pack16Lsb => ExecResult::one(d(0), (s(0) << 16) | (s(1) & 0xffff)),
-        Pack16Msb => ExecResult::one(d(0), (s(0) & 0xffff_0000) | (s(1) >> 16)),
-        PackBytes => ExecResult::one(d(0), ((s(0) & 0xff) << 8) | (s(1) & 0xff)),
-        MergeLsb => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            ExecResult::one(d(0), pack_quad8([a[2], b[2], a[3], b[3]]))
-        }
-        MergeMsb => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            ExecResult::one(d(0), pack_quad8([a[0], b[0], a[1], b[1]]))
-        }
-        Ubytesel => {
-            let idx = (s(1) & 3) as usize;
-            // Byte 0 is the least significant byte.
-            ExecResult::one(d(0), (s(0) >> (8 * idx)) & 0xff)
-        }
-        MergeDual16Lsb => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            // Low byte of each halfword of a, then of b.
-            ExecResult::one(d(0), pack_quad8([a[1], a[3], b[1], b[3]]))
-        }
-
-        // --- shifter ---
-        Asl => ExecResult::one(d(0), s(0).wrapping_shl(s(1) & 31)),
-        Asr => ExecResult::one(d(0), ((s(0) as i32).wrapping_shr(s(1) & 31)) as u32),
-        Lsr => ExecResult::one(d(0), s(0).wrapping_shr(s(1) & 31)),
-        Rol => ExecResult::one(d(0), s(0).rotate_left(s(1) & 31)),
-        Asli => ExecResult::one(d(0), s(0).wrapping_shl(imm as u32 & 31)),
-        Asri => ExecResult::one(d(0), ((s(0) as i32).wrapping_shr(imm as u32 & 31)) as u32),
-        Lsri => ExecResult::one(d(0), s(0).wrapping_shr(imm as u32 & 31)),
-        Roli => ExecResult::one(d(0), s(0).rotate_left(imm as u32 & 31)),
-        Funshift1 | Funshift2 | Funshift3 => {
-            let n = match op.opcode {
-                Funshift1 => 1u32,
-                Funshift2 => 2,
-                _ => 3,
-            };
-            let cat = (u64::from(s(0)) << 32) | u64::from(s(1));
-            ExecResult::one(d(0), (cat >> (32 - 8 * n)) as u32)
-        }
-
-        // --- saturating SIMD ALU ---
-        Dspiadd => ExecResult::one(
-            d(0),
-            clip_to_i32(i64::from(s(0) as i32) + i64::from(s(1) as i32)) as u32,
-        ),
-        Dspisub => ExecResult::one(
-            d(0),
-            clip_to_i32(i64::from(s(0) as i32) - i64::from(s(1) as i32)) as u32,
-        ),
-        Dspiabs => ExecResult::one(d(0), clip_to_i32((i64::from(s(0) as i32)).abs()) as u32),
-        Dspidualadd | Dspidualsub => {
-            let (ah, al) = dual16(s(0));
-            let (bh, bl) = dual16(s(1));
-            let f = |a: u16, b: u16| -> u16 {
-                let (a, b) = (i32::from(a as i16), i32::from(b as i16));
-                let v = if op.opcode == Dspidualadd {
-                    a + b
-                } else {
-                    a - b
-                };
-                clip_to_i16(v) as u16
-            };
-            ExecResult::one(d(0), pack_dual16(f(ah, bh), f(al, bl)))
-        }
-        Dspidualabs => {
-            let (h, l) = dual16(s(0));
-            let f = |a: u16| clip_to_i16(i32::from(a as i16).abs()) as u16;
-            ExecResult::one(d(0), pack_dual16(f(h), f(l)))
-        }
-        Quadavg => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = avg_u8(a[i], b[i]);
-            }
-            ExecResult::one(d(0), pack_quad8(out))
-        }
-        Quadumin | Quadumax => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = if op.opcode == Quadumin {
-                    a[i].min(b[i])
-                } else {
-                    a[i].max(b[i])
-                };
-            }
-            ExecResult::one(d(0), pack_quad8(out))
-        }
-        Dualiclipi => {
-            let (h, l) = dual16(s(0));
-            let n = imm.clamp(0, 15) as u32;
-            let lo = -(1i32 << n);
-            let hi = (1i32 << n) - 1;
-            let f = |a: u16| (i32::from(a as i16).clamp(lo, hi) as i16) as u16;
-            ExecResult::one(d(0), pack_dual16(f(h), f(l)))
-        }
-        Iclipi => {
-            let n = imm.clamp(0, 30) as u32;
-            let v = (s(0) as i32).clamp(-(1i32 << n), (1i32 << n) - 1);
-            ExecResult::one(d(0), v as u32)
-        }
-        Uclipi => {
-            let n = imm.clamp(0, 31) as u32;
-            let v = (s(0) as i32).clamp(0, ((1u32 << n) - 1) as i32);
-            ExecResult::one(d(0), v as u32)
-        }
-        Ume8uu => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            let sad: u32 = (0..4)
-                .map(|i| (i32::from(a[i]) - i32::from(b[i])).unsigned_abs())
-                .sum();
-            ExecResult::one(d(0), sad)
-        }
-        Ume8ii => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            let sad: u32 = (0..4)
-                .map(|i| (i32::from(a[i] as i8) - i32::from(b[i] as i8)).unsigned_abs())
-                .sum();
-            ExecResult::one(d(0), sad)
-        }
-
-        // --- multiplier ---
-        Imul => ExecResult::one(d(0), (s(0) as i32).wrapping_mul(s(1) as i32) as u32),
-        Umul => ExecResult::one(d(0), s(0).wrapping_mul(s(1))),
-        Imulm => ExecResult::one(
-            d(0),
-            ((i64::from(s(0) as i32) * i64::from(s(1) as i32)) >> 32) as u32,
-        ),
-        Umulm => ExecResult::one(d(0), ((u64::from(s(0)) * u64::from(s(1))) >> 32) as u32),
-        Dspimul => ExecResult::one(
-            d(0),
-            clip_to_i32(i64::from(s(0) as i32) * i64::from(s(1) as i32)) as u32,
-        ),
-        Dspidualmul => {
-            let (ah, al) = dual16(s(0));
-            let (bh, bl) = dual16(s(1));
-            let f = |a: u16, b: u16| {
-                clip_to_i16(i32::from(a as i16).wrapping_mul(i32::from(b as i16))) as u16
-            };
-            ExecResult::one(d(0), pack_dual16(f(ah, bh), f(al, bl)))
-        }
-        Ifir16 => {
-            let (ah, al) = dual16(s(0));
-            let (bh, bl) = dual16(s(1));
-            let v = i32::from(ah as i16).wrapping_mul(i32::from(bh as i16))
-                + i32::from(al as i16).wrapping_mul(i32::from(bl as i16));
-            ExecResult::one(d(0), v as u32)
-        }
-        Ufir16 => {
-            let (ah, al) = dual16(s(0));
-            let (bh, bl) = dual16(s(1));
-            let v = u32::from(ah)
-                .wrapping_mul(u32::from(bh))
-                .wrapping_add(u32::from(al).wrapping_mul(u32::from(bl)));
-            ExecResult::one(d(0), v)
-        }
-        Ifir8ii | Ifir8ui | Ufir8uu => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            let mut acc: i64 = 0;
-            for i in 0..4 {
-                let x = match op.opcode {
-                    Ufir8uu => i64::from(a[i]),
-                    Ifir8ui => i64::from(a[i]),
-                    _ => i64::from(a[i] as i8),
-                };
-                let y = match op.opcode {
-                    Ufir8uu => i64::from(b[i]),
-                    _ => i64::from(b[i] as i8),
-                };
-                acc += x * y;
-            }
-            ExecResult::one(d(0), acc as u32)
-        }
-        Quadumulmsb => {
-            let a = quad8(s(0));
-            let b = quad8(s(1));
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = ((u16::from(a[i]) * u16::from(b[i])) >> 8) as u8;
-            }
-            ExecResult::one(d(0), pack_quad8(out))
-        }
-        Fmul => ExecResult::one(d(0), fb(f(s(0)) * f(s(1)))),
-
-        // --- floating point ---
-        Fadd => ExecResult::one(d(0), fb(f(s(0)) + f(s(1)))),
-        Fsub => ExecResult::one(d(0), fb(f(s(0)) - f(s(1)))),
-        Fabsval => ExecResult::one(d(0), fb(f(s(0)).abs())),
-        Ifloat => ExecResult::one(d(0), fb(s(0) as i32 as f32)),
-        Ufloat => ExecResult::one(d(0), fb(s(0) as f32)),
-        Ifixrz => {
-            let v = f(s(0));
-            let v = if v.is_nan() {
-                0
-            } else {
-                v.clamp(i32::MIN as f32, i32::MAX as f32) as i32
-            };
-            ExecResult::one(d(0), v as u32)
-        }
-        Ufixrz => {
-            let v = f(s(0));
-            let v = if v.is_nan() {
-                0
-            } else {
-                v.clamp(0.0, u32::MAX as f32) as u32
-            };
-            ExecResult::one(d(0), v)
-        }
-        Fgtr => ExecResult::one(d(0), b32(f(s(0)) > f(s(1)))),
-        Fgeq => ExecResult::one(d(0), b32(f(s(0)) >= f(s(1)))),
-        Feql => ExecResult::one(d(0), b32(f(s(0)) == f(s(1)))),
-        Fneq => ExecResult::one(d(0), b32(f(s(0)) != f(s(1)))),
-        Fleq => ExecResult::one(d(0), b32(f(s(0)) <= f(s(1)))),
-        Fles => ExecResult::one(d(0), b32(f(s(0)) < f(s(1)))),
-        Fsign => {
-            let v = f(s(0));
-            let sign = if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            };
-            ExecResult::one(d(0), fb(sign))
-        }
-        Fdiv => ExecResult::one(d(0), fb(f(s(0)) / f(s(1)))),
-        Fsqrt => ExecResult::one(d(0), fb(f(s(0)).sqrt())),
-
         // --- branches (targets are VLIW instruction indices) ---
-        Jmpt => ExecResult::branch(imm as u32),
+        Jmpt | Jmpi => ExecResult::branch(imm as u32),
         Jmpf => {
             if g {
                 ExecResult::none()
@@ -844,80 +543,9 @@ pub fn execute<M: DataMemory + ?Sized>(
                 ExecResult::branch(imm as u32)
             }
         }
-        Jmpi => ExecResult::branch(imm as u32),
         Ijmpt | Ijmpi => ExecResult::branch(s(0)),
 
-        // --- loads (little-endian unless Table 2 dictates otherwise) ---
-        Ld8d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 1)?;
-            ExecResult::one(d(0), sign_extend(mem.load_le(addr, 1), 8))
-        }
-        Uld8d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 1)?;
-            ExecResult::one(d(0), mem.load_le(addr, 1))
-        }
-        Ld16d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 2)?;
-            ExecResult::one(d(0), sign_extend(mem.load_le(addr, 2), 16))
-        }
-        Uld16d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 2)?;
-            ExecResult::one(d(0), mem.load_le(addr, 2))
-        }
-        Ld32d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 4)?;
-            ExecResult::one(d(0), mem.load_le(addr, 4))
-        }
-        Ld8r => {
-            let addr = s(0).wrapping_add(s(1));
-            mem.check_access(addr, 1)?;
-            ExecResult::one(d(0), sign_extend(mem.load_le(addr, 1), 8))
-        }
-        Uld8r => {
-            let addr = s(0).wrapping_add(s(1));
-            mem.check_access(addr, 1)?;
-            ExecResult::one(d(0), mem.load_le(addr, 1))
-        }
-        Ld16r => {
-            let addr = s(0).wrapping_add(s(1));
-            mem.check_access(addr, 2)?;
-            ExecResult::one(d(0), sign_extend(mem.load_le(addr, 2), 16))
-        }
-        Uld16r => {
-            let addr = s(0).wrapping_add(s(1));
-            mem.check_access(addr, 2)?;
-            ExecResult::one(d(0), mem.load_le(addr, 2))
-        }
-        Ld32r => {
-            let addr = s(0).wrapping_add(s(1));
-            mem.check_access(addr, 4)?;
-            ExecResult::one(d(0), mem.load_le(addr, 4))
-        }
-
-        // --- stores and cache control ---
-        St8d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 1)?;
-            mem.store_le(addr, 1, s(1));
-            ExecResult::effect_only()
-        }
-        St16d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 2)?;
-            mem.store_le(addr, 2, s(1));
-            ExecResult::effect_only()
-        }
-        St32d => {
-            let addr = s(0).wrapping_add(imm as u32);
-            mem.check_access(addr, 4)?;
-            mem.store_le(addr, 4, s(1));
-            ExecResult::effect_only()
-        }
+        // --- cache control and prefetch-region MMIO ---
         Allocd => {
             mem.cache_op(CacheOp::Allocate, s(0).wrapping_add(imm as u32));
             ExecResult::effect_only()
@@ -947,15 +575,7 @@ pub fn execute<M: DataMemory + ?Sized>(
             ExecResult::effect_only()
         }
 
-        // --- collapsed load with interpolation (Table 2) ---
-        LdFrac8 => {
-            let mut data = [0u8; 5];
-            mem.check_access(s(0), 5)?;
-            mem.load_bytes(s(0), &mut data);
-            ExecResult::one(d(0), ld_frac8_value(data, s(1)))
-        }
-
-        // --- two-slot operations (Table 2) ---
+        // --- two-slot arithmetic (Table 2) ---
         SuperDualimix => {
             let hi = |v: u32| i64::from((v >> 16) as u16 as i16);
             let lo = |v: u32| i64::from(v as u16 as i16);
@@ -963,31 +583,10 @@ pub fn execute<M: DataMemory + ?Sized>(
             let t2 = lo(s(0)) * lo(s(1)) + lo(s(2)) * lo(s(3));
             ExecResult::two(d(0), clip_to_i32(t1) as u32, d(1), clip_to_i32(t2) as u32)
         }
-        SuperLd32r => {
-            // Table 2: big-endian byte placement from address rsrc3+rsrc4.
-            let addr = s(0).wrapping_add(s(1));
-            mem.check_access(addr, 8)?;
-            let mut buf = [0u8; 8];
-            mem.load_bytes(addr, &mut buf);
-            let (w1, w2) = super_ld32_words(buf);
-            ExecResult::two(d(0), w1, d(1), w2)
-        }
         SuperCabacCtx => {
             // rsrc1 = DUAL16(value, range), rsrc2 = stream_bit_position,
             // rsrc3 = stream_data, rsrc4 = DUAL16(state, mps).
-            let (value, range) = dual16(s(0));
-            let (state, mps) = dual16(s(3));
-            let step = cabac_decode_step(
-                CabacState {
-                    value,
-                    range,
-                    // Table 2: state is a 6-bit field of the DUAL16 operand.
-                    state: (state & 0x3f) as u8,
-                    mps: mps & 1 == 1,
-                },
-                s(2),
-                s(1),
-            );
+            let step = cabac_decode_step(cabac_state(s(0), s(3)), s(2), s(1));
             ExecResult::two(
                 d(0),
                 pack_dual16(step.next.value, step.next.range),
@@ -1000,312 +599,75 @@ pub fn execute<M: DataMemory + ?Sized>(
             // rsrc4 = DUAL16(state, mps). stream_data is not needed: the
             // bit decision and renormalization count depend only on the
             // context state (paper, §2.2.3).
-            let (value, range) = dual16(s(0));
-            let (state, mps) = dual16(s(2));
-            let step = cabac_decode_step(
-                CabacState {
-                    value,
-                    range,
-                    // Table 2: state is a 6-bit field of the DUAL16 operand.
-                    state: (state & 0x3f) as u8,
-                    mps: mps & 1 == 1,
-                },
-                0,
-                s(1),
-            );
-            ExecResult::two(d(0), step.stream_bit_position, d(1), b32(step.bit))
+            let step = cabac_decode_step(cabac_state(s(0), s(2)), 0, s(1));
+            ExecResult::two(d(0), step.stream_bit_position, d(1), u32::from(step.bit))
         }
+
+        // --- loads and stores, driven by the opcode's access shape ---
+        opcode => match opcode.access() {
+            Some(access) => {
+                let addr = match access {
+                    Access::Load { indexed: false, .. } | Access::Store { .. } => {
+                        s(0).wrapping_add(imm as u32)
+                    }
+                    Access::Load { indexed: true, .. } | Access::SuperLoad => {
+                        s(0).wrapping_add(s(1))
+                    }
+                    Access::FracLoad => s(0),
+                };
+                mem.check_access(addr, access.bytes())?;
+                match access {
+                    Access::Load { bytes, sext, .. } => {
+                        let v = mem.load_le(addr, usize::from(bytes));
+                        let bits = 8 * u32::from(bytes);
+                        ExecResult::one(d(0), if sext { sign_extend(v, bits) } else { v })
+                    }
+                    Access::Store { bytes } => {
+                        mem.store_le(addr, usize::from(bytes), s(1));
+                        ExecResult::effect_only()
+                    }
+                    Access::SuperLoad => {
+                        // Table 2: big-endian byte placement from address
+                        // rsrc3+rsrc4.
+                        let mut buf = [0u8; 8];
+                        mem.load_bytes(addr, &mut buf);
+                        let (w1, w2) = super_ld32_words(buf);
+                        ExecResult::two(d(0), w1, d(1), w2)
+                    }
+                    Access::FracLoad => {
+                        let mut data = [0u8; 5];
+                        mem.load_bytes(addr, &mut data);
+                        ExecResult::one(d(0), ld_frac8_value(data, s(1)))
+                    }
+                }
+            }
+            // --- every other opcode is register-pure ---
+            None => match pure_fn(opcode) {
+                Some(pure) => ExecResult::one(d(0), pure(s(0), s(1), imm)),
+                None => ExecResult::none(),
+            },
+        },
     })
 }
 
-/// Signature of a specialized pure operation: `(src0, src1, imm)` in,
-/// destination value out. See [`pure_fn`].
-pub type PureFn = fn(u32, u32, i32) -> u32;
-
-/// The specialized register-pure evaluator for `opcode`, if it has one.
-///
-/// An opcode qualifies when its entire architectural effect is a single
-/// destination write computed from at most two source registers and the
-/// immediate: no memory traffic, no control flow, no second destination
-/// and no guard-false side channel (which rules out `jmpf`). For those
-/// opcodes the returned function computes exactly the value [`execute`]
-/// would put in `writes[0]` for a guard-true operation — the caller owns
-/// the guard check and the write-back. A cycle-exact interpreter can
-/// dispatch these through a stored function pointer and skip the full
-/// opcode match and [`ExecResult`] plumbing; `pure_fns_match_execute`
-/// (below, in tests) pins the agreement per opcode on randomized inputs.
-pub fn pure_fn(opcode: Opcode) -> Option<PureFn> {
-    use Opcode::*;
-
-    Some(match opcode {
-        // --- constants / immediate arithmetic ---
-        Iimm => |_, _, imm| imm as u32,
-        Iaddi => |a, _, imm| a.wrapping_add(imm as u32),
-        Isubi => |a, _, imm| a.wrapping_sub(imm as u32),
-        Iori => |a, _, imm| a | (imm as u32 & 0xfff),
-
-        // --- integer ALU ---
-        Iadd => |a, b, _| a.wrapping_add(b),
-        Isub => |a, b, _| a.wrapping_sub(b),
-        Ineg => |a, _, _| (a as i32).wrapping_neg() as u32,
-        Iabs => |a, _, _| (a as i32).wrapping_abs() as u32,
-        Iand => |a, b, _| a & b,
-        Ior => |a, b, _| a | b,
-        Ixor => |a, b, _| a ^ b,
-        Bitinv => |a, _, _| !a,
-        Bitandinv => |a, b, _| a & !b,
-        Sex8 => |a, _, _| sign_extend(a, 8),
-        Sex16 => |a, _, _| sign_extend(a, 16),
-        Zex8 => |a, _, _| a & 0xff,
-        Zex16 => |a, _, _| a & 0xffff,
-        Imin => |a, b, _| (a as i32).min(b as i32) as u32,
-        Imax => |a, b, _| (a as i32).max(b as i32) as u32,
-        Umin => |a, b, _| a.min(b),
-        Umax => |a, b, _| a.max(b),
-        Ieql => |a, b, _| b32(a == b),
-        Ineq => |a, b, _| b32(a != b),
-        Igtr => |a, b, _| b32((a as i32) > (b as i32)),
-        Igeq => |a, b, _| b32((a as i32) >= (b as i32)),
-        Iles => |a, b, _| b32((a as i32) < (b as i32)),
-        Ileq => |a, b, _| b32((a as i32) <= (b as i32)),
-        Ugtr => |a, b, _| b32(a > b),
-        Ugeq => |a, b, _| b32(a >= b),
-        Ules => |a, b, _| b32(a < b),
-        Uleq => |a, b, _| b32(a <= b),
-        Ieqli => |a, _, imm| b32(a as i32 == imm),
-        Igtri => |a, _, imm| b32(a as i32 > imm),
-        Ilesi => |a, _, imm| b32((a as i32) < imm),
-        Inonzero => |a, _, _| b32(a != 0),
-        Izero => |a, _, _| b32(a == 0),
-        Pack16Lsb => |a, b, _| (a << 16) | (b & 0xffff),
-        Pack16Msb => |a, b, _| (a & 0xffff_0000) | (b >> 16),
-        PackBytes => |a, b, _| ((a & 0xff) << 8) | (b & 0xff),
-        MergeLsb => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            pack_quad8([a[2], b[2], a[3], b[3]])
-        },
-        MergeMsb => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            pack_quad8([a[0], b[0], a[1], b[1]])
-        },
-        Ubytesel => |a, b, _| (a >> (8 * ((b & 3) as usize))) & 0xff,
-        MergeDual16Lsb => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            pack_quad8([a[1], a[3], b[1], b[3]])
-        },
-
-        // --- shifter ---
-        Asl => |a, b, _| a.wrapping_shl(b & 31),
-        Asr => |a, b, _| ((a as i32).wrapping_shr(b & 31)) as u32,
-        Lsr => |a, b, _| a.wrapping_shr(b & 31),
-        Rol => |a, b, _| a.rotate_left(b & 31),
-        Asli => |a, _, imm| a.wrapping_shl(imm as u32 & 31),
-        Asri => |a, _, imm| ((a as i32).wrapping_shr(imm as u32 & 31)) as u32,
-        Lsri => |a, _, imm| a.wrapping_shr(imm as u32 & 31),
-        Roli => |a, _, imm| a.rotate_left(imm as u32 & 31),
-        Funshift1 => |a, b, _| (((u64::from(a) << 32) | u64::from(b)) >> 24) as u32,
-        Funshift2 => |a, b, _| (((u64::from(a) << 32) | u64::from(b)) >> 16) as u32,
-        Funshift3 => |a, b, _| (((u64::from(a) << 32) | u64::from(b)) >> 8) as u32,
-
-        // --- saturating SIMD ALU ---
-        Dspiadd => |a, b, _| clip_to_i32(i64::from(a as i32) + i64::from(b as i32)) as u32,
-        Dspisub => |a, b, _| clip_to_i32(i64::from(a as i32) - i64::from(b as i32)) as u32,
-        Dspiabs => |a, _, _| clip_to_i32((i64::from(a as i32)).abs()) as u32,
-        Dspidualadd => |a, b, _| {
-            let (ah, al) = dual16(a);
-            let (bh, bl) = dual16(b);
-            let f = |a: u16, b: u16| clip_to_i16(i32::from(a as i16) + i32::from(b as i16)) as u16;
-            pack_dual16(f(ah, bh), f(al, bl))
-        },
-        Dspidualsub => |a, b, _| {
-            let (ah, al) = dual16(a);
-            let (bh, bl) = dual16(b);
-            let f = |a: u16, b: u16| clip_to_i16(i32::from(a as i16) - i32::from(b as i16)) as u16;
-            pack_dual16(f(ah, bh), f(al, bl))
-        },
-        Dspidualabs => |a, _, _| {
-            let (h, l) = dual16(a);
-            let f = |a: u16| clip_to_i16(i32::from(a as i16).abs()) as u16;
-            pack_dual16(f(h), f(l))
-        },
-        Quadavg => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = avg_u8(a[i], b[i]);
-            }
-            pack_quad8(out)
-        },
-        Quadumin => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = a[i].min(b[i]);
-            }
-            pack_quad8(out)
-        },
-        Quadumax => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = a[i].max(b[i]);
-            }
-            pack_quad8(out)
-        },
-        Dualiclipi => |a, _, imm| {
-            let (h, l) = dual16(a);
-            let n = imm.clamp(0, 15) as u32;
-            let lo = -(1i32 << n);
-            let hi = (1i32 << n) - 1;
-            let f = |a: u16| (i32::from(a as i16).clamp(lo, hi) as i16) as u16;
-            pack_dual16(f(h), f(l))
-        },
-        Iclipi => |a, _, imm| {
-            let n = imm.clamp(0, 30) as u32;
-            (a as i32).clamp(-(1i32 << n), (1i32 << n) - 1) as u32
-        },
-        Uclipi => |a, _, imm| {
-            let n = imm.clamp(0, 31) as u32;
-            (a as i32).clamp(0, ((1u32 << n) - 1) as i32) as u32
-        },
-        Ume8uu => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            (0..4)
-                .map(|i| (i32::from(a[i]) - i32::from(b[i])).unsigned_abs())
-                .sum()
-        },
-        Ume8ii => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            (0..4)
-                .map(|i| (i32::from(a[i] as i8) - i32::from(b[i] as i8)).unsigned_abs())
-                .sum()
-        },
-
-        // --- multiplier ---
-        Imul => |a, b, _| (a as i32).wrapping_mul(b as i32) as u32,
-        Umul => |a, b, _| a.wrapping_mul(b),
-        Imulm => |a, b, _| ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
-        Umulm => |a, b, _| ((u64::from(a) * u64::from(b)) >> 32) as u32,
-        Dspimul => |a, b, _| clip_to_i32(i64::from(a as i32) * i64::from(b as i32)) as u32,
-        Dspidualmul => |a, b, _| {
-            let (ah, al) = dual16(a);
-            let (bh, bl) = dual16(b);
-            let f = |a: u16, b: u16| {
-                clip_to_i16(i32::from(a as i16).wrapping_mul(i32::from(b as i16))) as u16
-            };
-            pack_dual16(f(ah, bh), f(al, bl))
-        },
-        Ifir16 => |a, b, _| {
-            let (ah, al) = dual16(a);
-            let (bh, bl) = dual16(b);
-            (i32::from(ah as i16).wrapping_mul(i32::from(bh as i16))
-                + i32::from(al as i16).wrapping_mul(i32::from(bl as i16))) as u32
-        },
-        Ufir16 => |a, b, _| {
-            let (ah, al) = dual16(a);
-            let (bh, bl) = dual16(b);
-            u32::from(ah)
-                .wrapping_mul(u32::from(bh))
-                .wrapping_add(u32::from(al).wrapping_mul(u32::from(bl)))
-        },
-        Ifir8ii => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut acc: i64 = 0;
-            for i in 0..4 {
-                acc += i64::from(a[i] as i8) * i64::from(b[i] as i8);
-            }
-            acc as u32
-        },
-        Ifir8ui => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut acc: i64 = 0;
-            for i in 0..4 {
-                acc += i64::from(a[i]) * i64::from(b[i] as i8);
-            }
-            acc as u32
-        },
-        Ufir8uu => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut acc: i64 = 0;
-            for i in 0..4 {
-                acc += i64::from(a[i]) * i64::from(b[i]);
-            }
-            acc as u32
-        },
-        Quadumulmsb => |a, b, _| {
-            let a = quad8(a);
-            let b = quad8(b);
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = ((u16::from(a[i]) * u16::from(b[i])) >> 8) as u8;
-            }
-            pack_quad8(out)
-        },
-        Fmul => |a, b, _| fb(f(a) * f(b)),
-
-        // --- floating point ---
-        Fadd => |a, b, _| fb(f(a) + f(b)),
-        Fsub => |a, b, _| fb(f(a) - f(b)),
-        Fabsval => |a, _, _| fb(f(a).abs()),
-        Ifloat => |a, _, _| fb(a as i32 as f32),
-        Ufloat => |a, _, _| fb(a as f32),
-        Ifixrz => |a, _, _| {
-            let v = f(a);
-            if v.is_nan() {
-                0
-            } else {
-                v.clamp(i32::MIN as f32, i32::MAX as f32) as i32 as u32
-            }
-        },
-        Ufixrz => |a, _, _| {
-            let v = f(a);
-            if v.is_nan() {
-                0
-            } else {
-                v.clamp(0.0, u32::MAX as f32) as u32
-            }
-        },
-        Fgtr => |a, b, _| b32(f(a) > f(b)),
-        Fgeq => |a, b, _| b32(f(a) >= f(b)),
-        Feql => |a, b, _| b32(f(a) == f(b)),
-        Fneq => |a, b, _| b32(f(a) != f(b)),
-        Fleq => |a, b, _| b32(f(a) <= f(b)),
-        Fles => |a, b, _| b32(f(a) < f(b)),
-        Fsign => |a, _, _| {
-            let v = f(a);
-            fb(if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            })
-        },
-        Fdiv => |a, b, _| fb(f(a) / f(b)),
-        Fsqrt => |a, _, _| fb(f(a).sqrt()),
-
-        // Everything with memory traffic, control flow, a second
-        // destination or extra source operands stays on the full
-        // `execute` path.
-        _ => return None,
-    })
+/// The CABAC context state held in two DUAL16 operands:
+/// `(value, range)` and `(state, mps)`.
+fn cabac_state(value_range: u32, state_mps: u32) -> CabacState {
+    let (value, range) = dual16(value_range);
+    let (state, mps) = dual16(state_mps);
+    CabacState {
+        value,
+        range,
+        // Table 2: state is a 6-bit field of the DUAL16 operand.
+        state: (state & 0x3f) as u8,
+        mps: mps & 1 == 1,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
+    use crate::opcode::CANONICAL_NAN;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -1742,92 +1104,11 @@ mod tests {
     }
 
     #[test]
-    fn pure_fns_match_execute() {
-        // Differential check: for every opcode with a specialized pure
-        // evaluator, the function must agree with `execute` bit-for-bit
-        // on randomized source/immediate values — including float NaN
-        // payloads and saturation corners that only show up at extreme
-        // bit patterns.
-        let mut seed = 0x1234_5678_9abc_def0u64;
-        let mut rng = || {
-            // xorshift64*: deterministic, dependency-free.
-            seed ^= seed >> 12;
-            seed ^= seed << 25;
-            seed ^= seed >> 27;
-            seed.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let corners = [
-            0u32,
-            1,
-            0x7fff_ffff,
-            0x8000_0000,
-            0xffff_ffff,
-            0x7fff_0001,
-            0x8000_7fff,
-            f32::NAN.to_bits(),
-            f32::INFINITY.to_bits(),
-        ];
-        let mut covered = 0;
-        for &opcode in Opcode::all() {
-            let Some(pf) = pure_fn(opcode) else { continue };
-            covered += 1;
-            assert!(
-                !opcode.is_mem() && !opcode.is_jump() && !opcode.is_two_slot(),
-                "{opcode}: pure evaluator on a non-pure opcode"
-            );
-            for trial in 0..64 {
-                let (a, b) = if trial < corners.len() * corners.len() {
-                    (
-                        corners[trial % corners.len()],
-                        corners[trial / corners.len()],
-                    )
-                } else {
-                    (rng() as u32, rng() as u32)
-                };
-                let sig = opcode.signature();
-                let imm = if sig.imm {
-                    rng() as u32 as i32 % 4096
-                } else {
-                    0
-                };
-                let mut rf = RegFile::new();
-                rf.write(r(2), a);
-                rf.write(r(3), b);
-                // Sources past the opcode's arity read as r0 (zero), both
-                // here and in the machine's fused dispatch.
-                let srcs_all = [r(2), r(3)];
-                let srcs = &srcs_all[..sig.srcs as usize];
-                let (a, b) = match sig.srcs {
-                    0 => (0, 0),
-                    1 => (a, 0),
-                    _ => (a, b),
-                };
-                let op = Op::new(opcode, Reg::ONE, srcs, &[r(10)], imm);
-                let mut mem = FlatMemory::new(1 << 12);
-                let res = execute(&op, &rf, &mut mem).unwrap();
-                assert!(res.executed, "{opcode}: guard-true op must execute");
-                assert_eq!(res.branch_target, None, "{opcode}: pure op branched");
-                assert_eq!(res.writes[1], None, "{opcode}: pure op wrote twice");
-                let want = res.writes[0].expect("pure op writes its destination");
-                assert_eq!(want.0, r(10), "{opcode}: wrong destination");
-                assert_eq!(
-                    pf(a, b, imm),
-                    want.1,
-                    "{opcode}: pure fn diverges from execute on a={a:#x} b={b:#x} imm={imm}"
-                );
-            }
-        }
-        assert!(
-            covered > 90,
-            "expected ~100 specialized opcodes, got {covered}"
-        );
-    }
-
-    #[test]
     fn commutative_float_ops_ignore_operand_order() {
         // NaN payloads must not leak through in an operand-order
-        // dependent way: both evaluators give the same bits for (a, b)
-        // and (b, a), and every NaN result is the canonical one.
+        // dependent way: `execute` and the table's evaluator give the
+        // same bits for (a, b) and (b, a), and every NaN result is the
+        // canonical one.
         let values = [
             0u32,
             0x8000_0000,
@@ -1856,7 +1137,6 @@ mod tests {
                     let cell = format!("{opcode} a={a:#x} b={b:#x}");
                     assert_eq!(pf(a, b, 0), pf(b, a, 0), "{cell}: pure fn");
                     assert_eq!(exec_ab, exec_ba, "{cell}: execute");
-                    assert_eq!(exec_ab, pf(a, b, 0), "{cell}: pure fn vs execute");
                     if f32::from_bits(exec_ab).is_nan() {
                         assert_eq!(exec_ab, CANONICAL_NAN, "{cell}: NaN not canonical");
                     }

@@ -16,7 +16,9 @@
 //! * [`Reg`] / [`RegFile`] — the unified register file with hard-wired
 //!   `r0 = 0`, `r1 = 1`;
 //! * [`Opcode`] / [`Op`] / [`Instr`] / [`Program`] — the operation set and
-//!   VLIW instruction containers;
+//!   VLIW instruction containers; every opcode is one row of a single
+//!   table that also yields its description, its memory [`Access`] shape
+//!   and, for register-pure ops, its evaluator ([`pure_fn`]);
 //! * [`execute`] — the full architectural semantics of every operation
 //!   against a [`DataMemory`];
 //! * [`IssueModel`] — issue-slot binding and latencies for TM3270/TM3260;
@@ -45,7 +47,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cabac;
-mod describe;
 mod exec;
 mod op;
 mod opcode;
@@ -54,10 +55,10 @@ mod units;
 pub mod value;
 
 pub use exec::{
-    check_alignment, execute, ld_frac8_value, pure_fn, required_alignment, super_ld32_words,
-    CacheOp, DataMemory, ExecError, ExecResult, FlatMemory, PfParam, PureFn,
+    check_alignment, execute, ld_frac8_value, required_alignment, super_ld32_words, CacheOp,
+    DataMemory, ExecError, ExecResult, FlatMemory, PfParam,
 };
 pub use op::{Instr, Op, Program, Slot, NUM_SLOTS};
-pub use opcode::{Opcode, Signature, Unit};
+pub use opcode::{pure_fn, Access, Opcode, PureFn, Signature, Unit};
 pub use reg::{Reg, RegFile, NUM_REGS};
 pub use units::IssueModel;
