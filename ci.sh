@@ -14,6 +14,9 @@ cargo test -q --workspace
 echo "== cargo test --release (every isa test target: results must not depend on the build profile) =="
 cargo test --release -q -p tm3270-isa
 
+echo "== cargo test --release (traced engine and profiling, as benchmarked) =="
+cargo test --release -q --test profiling --test superblock_engine
+
 echo "== cargo clippy =="
 cargo clippy -q --all-targets -- -D warnings
 
@@ -106,8 +109,8 @@ python3 -c "import json,sys; json.load(open('/tmp/tm3270_profile_trace.json'))" 
 echo "== hot-spot / timeline smoke (memset + rgb2yuv, conservation-validated) =="
 # repro_profile itself exits 1 on a conservation violation; the validator
 # example re-checks the JSON shape and the sums from the outside with the
-# tm3270_obs::json scanners (block cycles == RunStats.cycles, timeline
-# deltas == final totals).
+# tm3270_obs::json scanners (block cycles == RunStats.cycles, block ops
+# and exec_ops == the per-slot totals, timeline deltas == final totals).
 cargo run --release -q -p tm3270-bench --bin repro_profile -- \
   --workload memset --workload rgb2yuv --hotspots --timeline 1000 --json \
   > /tmp/tm3270_hotspots.json

@@ -11,8 +11,10 @@
 //!   [`EMIT_BATCH`](tm3270_obs::EMIT_BATCH) events) discard. An upper
 //!   bound on the disabled path's cost.
 //! * `counter` — a [`CounterSink`] attached (what `repro_profile` pays).
-//! * `profile` — a [`ProfileSink`] attached (what
-//!   `repro_profile --hotspots` pays for per-PC attribution).
+//! * `profile` — a [`ProfileSink`] attached alone, so the run builds
+//!   only the four event kinds it reads (what per-PC attribution pays;
+//!   `repro_profile --hotspots` adds a [`CounterSink`], which reads
+//!   every kind).
 //!
 //! Prints one human line per workload plus a final `BENCH_obs` JSON
 //! line suitable for `BENCH_obs.json` at the repository root.

@@ -8,6 +8,9 @@
 //! * stall buckets sum to `cycles`,
 //! * `hotspots.total_cycles` equals `cycles` and the per-block cycle
 //!   sum equals `hotspots.total_cycles`,
+//! * the per-block `ops` and `exec_ops` (which the profile derives from
+//!   instruction issues and the static op table) sum to the per-slot
+//!   `ops_per_slot` and `executed_per_slot` totals (counted per op),
 //! * timeline interval deltas sum back to the bucket totals and every
 //!   consumed event lands in exactly one sample.
 //!
@@ -39,6 +42,26 @@ fn sum_field(doc: &str, key: &str) -> u64 {
                 .find(|c: char| !c.is_ascii_digit())
                 .unwrap_or(rest.len());
             rest[..end].parse::<u64>().unwrap_or(0)
+        })
+        .sum()
+}
+
+/// Sums the unsigned integers of the `"key":[a,b,...]` array in `doc`.
+fn sum_array(doc: &str, key: &str, what: &str) -> u64 {
+    let needle = format!("\"{key}\":[");
+    let at = doc
+        .find(&needle)
+        .unwrap_or_else(|| fail(&format!("{what}: missing \"{key}\"")));
+    let rest = &doc[at + needle.len()..];
+    let end = rest
+        .find(']')
+        .unwrap_or_else(|| fail(&format!("{what}: unterminated \"{key}\"")));
+    rest[..end]
+        .split(',')
+        .map(|n| {
+            n.trim()
+                .parse::<u64>()
+                .unwrap_or_else(|_| fail(&format!("{what}: bad \"{key}\" entry {n:?}")))
         })
         .sum()
 }
@@ -87,6 +110,16 @@ fn validate(workload: &str, seg: &str) {
         fail(&format!(
             "{workload}: hotspot block cycles {block_sum} != total_cycles {total}"
         ));
+    }
+
+    for (block_key, slot_key) in [("ops", "ops_per_slot"), ("exec_ops", "executed_per_slot")] {
+        let blocks = sum_field(&hs[blocks_at..], block_key);
+        let slots = sum_array(top, slot_key, workload);
+        if blocks != slots {
+            fail(&format!(
+                "{workload}: hotspot block {block_key} {blocks} != Σ {slot_key} {slots}"
+            ));
+        }
     }
 
     let interval = require(tl, "interval", workload);

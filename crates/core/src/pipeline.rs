@@ -20,7 +20,7 @@ use tm3270_isa::{
     ExecError, Op, Program, PureFn, Reg, RegFile,
 };
 use tm3270_mem::{FullStats, MemorySystem, Region};
-use tm3270_obs::{SinkHandle, StallCause, TraceEvent};
+use tm3270_obs::{EventKinds, SinkHandle, StallCause, TraceEvent};
 
 /// Default number of recent [`TraceRecord`]s the machine retains for
 /// crash reports (the ring buffer of [`Machine::recent_trace`]);
@@ -728,8 +728,20 @@ impl Machine {
 
     /// Attaches a trace sink: pipeline events (instruction issue, op
     /// dispatch, stalls, branches, the watchdog) and memory-system
-    /// events all flow to it. Pass [`SinkHandle::disabled`] to detach.
+    /// events all flow to it. The sink is bound to this program
+    /// ([`SinkHandle::bind`], with each instruction's static op count)
+    /// and receives only the event kinds it reads. Pass
+    /// [`SinkHandle::disabled`] to detach.
     pub fn attach_sink(&mut self, sink: SinkHandle) {
+        if sink.enabled() {
+            let ops: Vec<u8> = self
+                .plan
+                .instrs
+                .iter()
+                .map(|i| (i.end - i.start) as u8)
+                .collect();
+            sink.bind(&ops);
+        }
         self.mem.attach_sink(sink.clone());
         self.sink = sink;
     }
@@ -992,8 +1004,13 @@ impl Machine {
     /// no emission code at all; the `true` one tags memory events with
     /// the issuing pc and emits the `IFetch` stall, `OpDispatch` and
     /// `BranchResolve` per op, `InstrIssue`, the `Data` stall and
-    /// `WatchdogFired`, in that order.
+    /// `WatchdogFired`, in that order. The per-op events are skipped
+    /// outright when the bound sink reads neither kind.
     fn run_fused<const TRACING: bool>(&mut self, budget: u64) -> Result<(), SimError> {
+        let op_events = TRACING
+            && self
+                .sink
+                .wants(EventKinds::OP_DISPATCH | EventKinds::BRANCH_RESOLVE);
         let len = self.plan.instrs.len();
         let delay_slots = self.config.issue.jump_delay_slots;
 
@@ -1106,7 +1123,7 @@ impl Machine {
                         );
                         self.writes.push(land, po.op.dsts[0], v);
                     }
-                    if TRACING {
+                    if op_events {
                         self.emit_op_events(issue_cycle, ipc, po, executed, None);
                     }
                 } else if let Some(fm) = po.fast_mem {
@@ -1196,7 +1213,7 @@ impl Machine {
                             return Err(SimError::exec(ipc, e));
                         }
                     }
-                    if TRACING {
+                    if op_events {
                         self.emit_op_events(issue_cycle, ipc, po, executed, None);
                     }
                 } else {
@@ -1213,7 +1230,7 @@ impl Machine {
                             return Err(SimError::exec(ipc, e));
                         }
                     };
-                    if TRACING {
+                    if op_events {
                         self.emit_op_events(issue_cycle, ipc, po, res.executed, res.branch_target);
                     }
                     if res.executed {

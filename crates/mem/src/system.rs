@@ -12,7 +12,7 @@ use crate::dram::{Dram, DramConfig, DramStats, Priority};
 use crate::prefetch::{PrefetchStats, PrefetchUnit, Region};
 use tm3270_encode::{SectionReader, SectionWriter, SnapshotError};
 use tm3270_isa::{CacheOp, DataMemory, FlatMemory, PfParam};
-use tm3270_obs::{CacheId, CacheOutcome, MemTxKind, SinkHandle, TraceEvent};
+use tm3270_obs::{CacheId, CacheOutcome, EventKinds, MemTxKind, SinkHandle, TraceEvent};
 
 /// `ceil` for the non-negative sub-2^53 stall values this module
 /// produces, without the libm `ceil` call the default x86-64 target
@@ -405,7 +405,7 @@ impl MemorySystem {
 
     /// Outlined `CacheAccess` emission for the data cache — keeps the
     /// untraced demand-access path compact (the disabled path pays only
-    /// the `enabled()` branch at the call site).
+    /// the `wants()` branch at the call site).
     #[cold]
     #[inline(never)]
     fn emit_cache_access(&self, addr: u32, lookup: Lookup, prefetch_hit: bool) {
@@ -445,7 +445,7 @@ impl MemorySystem {
     fn access_load(&mut self, addr: u32, len: u32) {
         self.stats.loads += 1;
         let geom = self.config.dcache;
-        let tracing = self.sink.enabled();
+        let tracing = self.sink.wants(EventKinds::CACHE_ACCESS);
         for (seg, (a, n)) in Self::segments(geom, addr, len).enumerate() {
             if seg == 1 {
                 self.stats.line_crossers += 1;
@@ -506,7 +506,7 @@ impl MemorySystem {
     fn access_store(&mut self, addr: u32, len: u32) {
         self.stats.stores += 1;
         let geom = self.config.dcache;
-        let tracing = self.sink.enabled();
+        let tracing = self.sink.wants(EventKinds::CACHE_ACCESS);
         for (seg, (a, n)) in Self::segments(geom, addr, len).enumerate() {
             if seg == 1 {
                 self.stats.line_crossers += 1;
@@ -533,7 +533,7 @@ impl MemorySystem {
     #[inline]
     fn fetch_segment(&mut self, now: f64, stall: f64, a: u32, n: u32, geom: CacheGeometry) -> f64 {
         let lookup = self.icache.lookup(a, n);
-        if self.sink.enabled() {
+        if self.sink.wants(EventKinds::CACHE_ACCESS) {
             self.sink.emit(TraceEvent::CacheAccess {
                 cycle: now + stall,
                 cache: CacheId::Instr,

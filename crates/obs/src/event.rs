@@ -112,6 +112,81 @@ impl MemTxKind {
     }
 }
 
+/// A set of [`TraceEvent`] kinds, one bit per variant.
+///
+/// A sink returns the kinds it reads from
+/// [`TraceSink::bind`](crate::TraceSink::bind); the
+/// [`SinkHandle`](crate::SinkHandle) it is bound through drops every
+/// other kind before staging, and producers skip building events no
+/// bound sink reads ([`SinkHandle::wants`](crate::SinkHandle::wants)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct EventKinds(u16);
+
+impl EventKinds {
+    /// No kind.
+    pub const NONE: EventKinds = EventKinds(0);
+    /// [`TraceEvent::InstrIssue`].
+    pub const INSTR_ISSUE: EventKinds = EventKinds(1 << 0);
+    /// [`TraceEvent::OpDispatch`].
+    pub const OP_DISPATCH: EventKinds = EventKinds(1 << 1);
+    /// [`TraceEvent::StallBegin`].
+    pub const STALL_BEGIN: EventKinds = EventKinds(1 << 2);
+    /// [`TraceEvent::StallEnd`].
+    pub const STALL_END: EventKinds = EventKinds(1 << 3);
+    /// [`TraceEvent::CacheAccess`].
+    pub const CACHE_ACCESS: EventKinds = EventKinds(1 << 4);
+    /// [`TraceEvent::CacheEvict`].
+    pub const CACHE_EVICT: EventKinds = EventKinds(1 << 5);
+    /// [`TraceEvent::PrefetchIssue`].
+    pub const PREFETCH_ISSUE: EventKinds = EventKinds(1 << 6);
+    /// [`TraceEvent::PrefetchLate`].
+    pub const PREFETCH_LATE: EventKinds = EventKinds(1 << 7);
+    /// [`TraceEvent::DramTransaction`].
+    pub const DRAM_TRANSACTION: EventKinds = EventKinds(1 << 8);
+    /// [`TraceEvent::BranchResolve`].
+    pub const BRANCH_RESOLVE: EventKinds = EventKinds(1 << 9);
+    /// [`TraceEvent::WatchdogFired`].
+    pub const WATCHDOG_FIRED: EventKinds = EventKinds(1 << 10);
+    /// [`TraceEvent::FaultFlip`].
+    pub const FAULT_FLIP: EventKinds = EventKinds(1 << 11);
+    /// Every kind.
+    pub const ALL: EventKinds = EventKinds((1 << 12) - 1);
+
+    /// The kinds in `self` or `other` (`|` in const context).
+    #[inline]
+    pub const fn union(self, other: EventKinds) -> EventKinds {
+        EventKinds(self.0 | other.0)
+    }
+
+    /// Whether every kind in `other` is in `self`.
+    #[inline]
+    pub const fn contains(self, other: EventKinds) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// Whether `self` and `other` share a kind.
+    #[inline]
+    pub const fn intersects(self, other: EventKinds) -> bool {
+        self.0 & other.0 != 0
+    }
+}
+
+impl std::ops::BitOr for EventKinds {
+    type Output = EventKinds;
+
+    #[inline]
+    fn bitor(self, other: EventKinds) -> EventKinds {
+        self.union(other)
+    }
+}
+
+impl std::ops::BitOrAssign for EventKinds {
+    #[inline]
+    fn bitor_assign(&mut self, other: EventKinds) {
+        *self = self.union(other);
+    }
+}
+
 /// One cycle-stamped trace event.
 ///
 /// The vocabulary covers the paper's whole evaluation vocabulary (§5,
@@ -276,6 +351,25 @@ impl TraceEvent {
         }
     }
 
+    /// The event's own bit in [`EventKinds`].
+    #[inline]
+    pub fn kind_bit(&self) -> EventKinds {
+        match self {
+            TraceEvent::InstrIssue { .. } => EventKinds::INSTR_ISSUE,
+            TraceEvent::OpDispatch { .. } => EventKinds::OP_DISPATCH,
+            TraceEvent::StallBegin { .. } => EventKinds::STALL_BEGIN,
+            TraceEvent::StallEnd { .. } => EventKinds::STALL_END,
+            TraceEvent::CacheAccess { .. } => EventKinds::CACHE_ACCESS,
+            TraceEvent::CacheEvict { .. } => EventKinds::CACHE_EVICT,
+            TraceEvent::PrefetchIssue { .. } => EventKinds::PREFETCH_ISSUE,
+            TraceEvent::PrefetchLate { .. } => EventKinds::PREFETCH_LATE,
+            TraceEvent::DramTransaction { .. } => EventKinds::DRAM_TRANSACTION,
+            TraceEvent::BranchResolve { .. } => EventKinds::BRANCH_RESOLVE,
+            TraceEvent::WatchdogFired { .. } => EventKinds::WATCHDOG_FIRED,
+            TraceEvent::FaultFlip { .. } => EventKinds::FAULT_FLIP,
+        }
+    }
+
     /// A short stable name for the event kind.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -341,5 +435,13 @@ mod tests {
         ];
         let kinds: std::collections::HashSet<_> = events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), events.len());
+        let mut seen = EventKinds::NONE;
+        for e in &events {
+            assert!(!seen.intersects(e.kind_bit()), "{} shares a bit", e.kind());
+            assert!(EventKinds::ALL.contains(e.kind_bit()));
+            seen |= e.kind_bit();
+        }
+        assert!(seen.contains(EventKinds::INSTR_ISSUE | EventKinds::FAULT_FLIP));
+        assert!(!seen.intersects(EventKinds::OP_DISPATCH));
     }
 }

@@ -40,6 +40,18 @@
 //! Producers flush at run boundaries; call [`SinkHandle::flush`] before
 //! reading a sink mid-run.
 //!
+//! Sinks declare the events they read: `Machine::attach_sink` binds the
+//! sink to the program ([`TraceSink::bind`], which also hands it each
+//! instruction's static op count), and the sink returns an
+//! [`EventKinds`] set. The handle then drops every other kind before
+//! staging it, and the simulator and memory system skip building the
+//! per-op and cache-access events no bound sink reads
+//! ([`SinkHandle::wants`]). [`ProfileSink`] reads four kinds, so a run
+//! profiled by it alone builds about two events per instruction; every
+//! other built-in sink reads every kind, and a [`FanoutSink`] reads the
+//! union of its children. A handle that is never bound delivers
+//! everything.
+//!
 //! # Examples
 //!
 //! ```
@@ -78,7 +90,7 @@ mod timeline;
 
 pub use chrome::ChromeTraceSink;
 pub use counter::{CacheCounts, CounterSink, DramCount, StallBuckets, UnitCount, SLOTS};
-pub use event::{CacheId, CacheOutcome, MemTxKind, StallCause, TraceEvent};
+pub use event::{CacheId, CacheOutcome, EventKinds, MemTxKind, StallCause, TraceEvent};
 pub use profile::{BlockProfile, PcProfile, ProfileSink};
 pub use ring::RingSink;
 pub use sink::{FanoutSink, NullSink, SinkHandle, TraceSink, EMIT_BATCH};

@@ -15,8 +15,13 @@
 //! bounded by the program's jump targets
 //! ([`ProfileSink::blocks`] / [`ProfileSink::hotspots`]); the sums are
 //! preserved, so the top-N report inherits the conservation guarantee.
+//!
+//! The sink reads four event kinds ([`ProfileSink::READS`]). Operation
+//! counts come from `InstrIssue` and the per-instruction op table the
+//! sink is bound with ([`TraceSink::bind`]), not from per-op events, so
+//! a run bound to this sink alone builds no `OpDispatch` events.
 
-use crate::event::{CacheId, CacheOutcome, StallCause, TraceEvent};
+use crate::event::{CacheId, CacheOutcome, EventKinds, StallCause, TraceEvent};
 use crate::sink::TraceSink;
 
 /// Cycle and activity attribution for one VLIW instruction address.
@@ -29,9 +34,12 @@ pub struct PcProfile {
     /// Data-side stall cycles caused by this instruction's operations.
     pub data_stall: u64,
     /// Operations dispatched from this instruction (guard true or
-    /// false).
+    /// false): its static op count from the bound op table, added per
+    /// `InstrIssue`. An instruction stopped by an execution error emits
+    /// no `InstrIssue` and adds nothing, though `RunStats.ops` counts it.
     pub ops: u64,
-    /// Operations whose guard was true.
+    /// Operations whose guard was true: the `ops` field of each
+    /// `InstrIssue` (same exec-error rule as [`PcProfile::ops`]).
     pub exec_ops: u64,
     /// Data-cache misses requested by this instruction.
     pub dcache_misses: u64,
@@ -78,12 +86,21 @@ pub struct BlockProfile {
 #[derive(Debug, Clone, Default)]
 pub struct ProfileSink {
     per_pc: Vec<PcProfile>,
+    /// Static op count per VLIW instruction, from [`TraceSink::bind`].
+    ops_per_instr: Vec<u8>,
     watchdog_idle: u64,
     watchdog_pc: Option<usize>,
     events: u64,
 }
 
 impl ProfileSink {
+    /// The event kinds the sink reads, returned by its
+    /// [`TraceSink::bind`].
+    pub const READS: EventKinds = EventKinds::INSTR_ISSUE
+        .union(EventKinds::STALL_END)
+        .union(EventKinds::CACHE_ACCESS)
+        .union(EventKinds::WATCHDOG_FIRED);
+
     /// A profile sink preallocated for a program of `program_len` VLIW
     /// instructions — steady-state event handling never allocates.
     /// (Out-of-range PCs, possible on fault-corrupted programs, grow the
@@ -128,7 +145,9 @@ impl ProfileSink {
         self.watchdog_pc
     }
 
-    /// Total events consumed.
+    /// Total events delivered to the sink. Bound alone, it is delivered
+    /// only the kinds in [`ProfileSink::READS`]; inside a
+    /// [`FanoutSink`](crate::FanoutSink) it may be delivered more.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -197,13 +216,12 @@ impl TraceSink for ProfileSink {
     fn event(&mut self, event: &TraceEvent) {
         self.events += 1;
         match *event {
-            TraceEvent::InstrIssue { pc, .. } => self.at(pc).issue += 1,
-            TraceEvent::OpDispatch { pc, executed, .. } => {
+            TraceEvent::InstrIssue { pc, ops, .. } => {
+                let static_ops = self.ops_per_instr.get(pc).copied().unwrap_or(0);
                 let p = self.at(pc);
-                p.ops += 1;
-                if executed {
-                    p.exec_ops += 1;
-                }
+                p.issue += 1;
+                p.ops += u64::from(static_ops);
+                p.exec_ops += u64::from(ops);
             }
             TraceEvent::StallEnd {
                 pc, cause, cycles, ..
@@ -226,6 +244,13 @@ impl TraceSink for ProfileSink {
             }
             _ => {}
         }
+    }
+
+    /// Stores the op table and reads [`ProfileSink::READS`].
+    fn bind(&mut self, ops_per_instr: &[u8]) -> EventKinds {
+        self.ops_per_instr.clear();
+        self.ops_per_instr.extend_from_slice(ops_per_instr);
+        ProfileSink::READS
     }
 }
 
@@ -261,6 +286,34 @@ mod tests {
         assert_eq!(p.per_pc()[1].cycles(), 4);
         assert_eq!(p.per_pc()[2].cycles(), 2);
         assert_eq!(p.total_cycles(), 9);
+    }
+
+    #[test]
+    fn op_counts_come_from_the_bound_table() {
+        let mut p = ProfileSink::new(2);
+        assert_eq!(p.bind(&[5, 2]), ProfileSink::READS);
+        p.event(&TraceEvent::InstrIssue {
+            cycle: 0,
+            pc: 0,
+            ops: 3,
+        });
+        p.event(&TraceEvent::InstrIssue {
+            cycle: 1,
+            pc: 0,
+            ops: 5,
+        });
+        // Per-op events are not read, even when a fan-out delivers them.
+        p.event(&TraceEvent::OpDispatch {
+            cycle: 1,
+            pc: 1,
+            slot: 0,
+            unit: "alu",
+            mnemonic: "iadd",
+            executed: true,
+        });
+        assert_eq!((p.per_pc()[0].ops, p.per_pc()[0].exec_ops), (10, 8));
+        assert_eq!(p.per_pc()[1], PcProfile::default());
+        assert_eq!(p.events(), 3, "events delivered");
     }
 
     #[test]

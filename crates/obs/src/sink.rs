@@ -1,8 +1,8 @@
 //! The [`TraceSink`] trait, the shared [`SinkHandle`] producers hold,
 //! and the structural sinks ([`NullSink`], [`FanoutSink`]).
 
-use crate::event::TraceEvent;
-use std::cell::RefCell;
+use crate::event::{EventKinds, TraceEvent};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Capacity of the [`SinkHandle`] staging buffer: events are handed to
@@ -32,6 +32,18 @@ pub trait TraceSink {
             self.event(event);
         }
     }
+
+    /// Binds the sink to a program before a run: `ops_per_instr[pc]` is
+    /// the static operation count of VLIW instruction `pc` (guard true
+    /// or false). Returns the event kinds the sink reads; the handle it
+    /// is bound through delivers only those.
+    ///
+    /// `Machine::attach_sink` calls this through [`SinkHandle::bind`].
+    /// The default reads every kind and ignores the table.
+    fn bind(&mut self, ops_per_instr: &[u8]) -> EventKinds {
+        let _ = ops_per_instr;
+        EventKinds::ALL
+    }
 }
 
 /// A sink that discards every event — useful for measuring the enabled
@@ -52,6 +64,28 @@ struct Staged {
     inner: Rc<RefCell<dyn TraceSink>>,
 }
 
+/// What every clone of a [`SinkHandle`] shares: the kinds the sink was
+/// bound to (every kind until [`SinkHandle::bind`]) beside the staging
+/// buffer, so the filter is read without borrowing the buffer.
+struct Shared {
+    kinds: Cell<EventKinds>,
+    staged: RefCell<Staged>,
+}
+
+impl Shared {
+    /// Stages `event` if the sink reads its kind, draining a full buffer.
+    #[inline]
+    fn push(&self, event: TraceEvent) {
+        if self.kinds.get().contains(event.kind_bit()) {
+            let mut s = self.staged.borrow_mut();
+            s.buf.push(event);
+            if s.buf.len() == EMIT_BATCH {
+                s.flush();
+            }
+        }
+    }
+}
+
 impl Staged {
     fn flush(&mut self) {
         if !self.buf.is_empty() {
@@ -69,6 +103,11 @@ impl Staged {
 /// ([`SinkHandle::enabled`]), and event construction is skipped entirely
 /// when emitting through [`SinkHandle::emit_with`].
 ///
+/// A bound handle ([`SinkHandle::bind`]) drops every event kind its sink
+/// does not read before staging it, and producers ask
+/// [`SinkHandle::wants`] before building events on hot paths. An unbound
+/// handle delivers every kind.
+///
 /// When enabled, events are staged in a fixed [`EMIT_BATCH`]-capacity
 /// buffer (allocated once, never grown) and handed to the sink through
 /// one [`TraceSink::batch`] call per batch — emission itself never makes
@@ -77,11 +116,11 @@ impl Staged {
 /// every run (including crash paths), so callers stepping a machine by
 /// hand and reading a sink mid-run should flush first.
 ///
-/// Cloning the handle shares the staging buffer and the underlying sink
-/// — the pipeline and the memory system it owns both feed the same
-/// consumer, in emission order.
+/// Cloning the handle shares the staging buffer, the bound kinds and the
+/// underlying sink — the pipeline and the memory system it owns both
+/// feed the same consumer, in emission order.
 #[derive(Clone, Default)]
-pub struct SinkHandle(Option<Rc<RefCell<Staged>>>);
+pub struct SinkHandle(Option<Rc<Shared>>);
 
 impl SinkHandle {
     /// The disabled handle (no sink attached; emission is a no-op).
@@ -91,10 +130,13 @@ impl SinkHandle {
 
     /// A handle feeding an already-shared sink.
     pub fn new(sink: Rc<RefCell<dyn TraceSink>>) -> SinkHandle {
-        SinkHandle(Some(Rc::new(RefCell::new(Staged {
-            buf: Vec::with_capacity(EMIT_BATCH),
-            inner: sink,
-        }))))
+        SinkHandle(Some(Rc::new(Shared {
+            kinds: Cell::new(EventKinds::ALL),
+            staged: RefCell::new(Staged {
+                buf: Vec::with_capacity(EMIT_BATCH),
+                inner: sink,
+            }),
+        })))
     }
 
     /// Whether a sink is attached.
@@ -103,40 +145,55 @@ impl SinkHandle {
         self.0.is_some()
     }
 
-    /// Emits an already-constructed event (no-op when disabled).
+    /// Whether a sink is attached and reads at least one kind in
+    /// `kinds`. Producers ask once before building events a bound sink
+    /// may not read.
+    #[inline]
+    pub fn wants(&self, kinds: EventKinds) -> bool {
+        self.0
+            .as_ref()
+            .is_some_and(|shared| shared.kinds.get().intersects(kinds))
+    }
+
+    /// Binds the sink to a program ([`TraceSink::bind`]) and from then on
+    /// delivers only the kinds it returns. Events staged under the
+    /// previous set are flushed first. A no-op when disabled.
+    pub fn bind(&self, ops_per_instr: &[u8]) {
+        if let Some(shared) = &self.0 {
+            let mut s = shared.staged.borrow_mut();
+            s.flush();
+            let kinds = s.inner.borrow_mut().bind(ops_per_instr);
+            shared.kinds.set(kinds);
+        }
+    }
+
+    /// Emits an already-constructed event (no-op when disabled or when
+    /// the bound sink does not read its kind).
     #[inline]
     pub fn emit(&self, event: TraceEvent) {
-        if let Some(staged) = &self.0 {
-            let mut s = staged.borrow_mut();
-            s.buf.push(event);
-            if s.buf.len() == EMIT_BATCH {
-                s.flush();
-            }
+        if let Some(shared) = &self.0 {
+            shared.push(event);
         }
     }
 
     /// Emits lazily: `f` runs only when a sink is attached, so argument
-    /// gathering is never paid on the disabled path.
+    /// gathering is never paid on the disabled path. Like
+    /// [`SinkHandle::emit`], drops kinds the bound sink does not read.
     #[inline]
     pub fn emit_with(&self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(staged) = &self.0 {
-            let mut s = staged.borrow_mut();
-            let event = f();
-            s.buf.push(event);
-            if s.buf.len() == EMIT_BATCH {
-                s.flush();
-            }
+        if let Some(shared) = &self.0 {
+            shared.push(f());
         }
     }
 
     /// Emits and immediately drains the staging buffer — for rare
     /// out-of-band events (fault flips) whose observers expect to see
-    /// them without waiting for a batch boundary.
+    /// them without waiting for a batch boundary. Drops kinds the bound
+    /// sink does not read.
     pub fn emit_now(&self, event: TraceEvent) {
-        if let Some(staged) = &self.0 {
-            let mut s = staged.borrow_mut();
-            s.buf.push(event);
-            s.flush();
+        if let Some(shared) = &self.0 {
+            shared.push(event);
+            shared.staged.borrow_mut().flush();
         }
     }
 
@@ -144,8 +201,8 @@ impl SinkHandle {
     /// empty). Every clone of a handle shares one buffer, so a single
     /// flush drains events from all producers.
     pub fn flush(&self) {
-        if let Some(staged) = &self.0 {
-            staged.borrow_mut().flush();
+        if let Some(shared) = &self.0 {
+            shared.staged.borrow_mut().flush();
         }
     }
 }
@@ -182,7 +239,9 @@ impl FanoutSink {
         FanoutSink::default()
     }
 
-    /// Adds a sink to the fan-out.
+    /// Adds a sink to the fan-out. A sink pushed after the fan-out was
+    /// bound receives only the kinds bound then; the next
+    /// [`TraceSink::bind`] (e.g. attaching the handle again) includes it.
     pub fn push(&mut self, sink: Rc<RefCell<dyn TraceSink>>) {
         self.sinks.push(sink);
     }
@@ -209,6 +268,16 @@ impl TraceSink for FanoutSink {
         for sink in &self.sinks {
             sink.borrow_mut().batch(events);
         }
+    }
+
+    /// Binds every child and reads the union of their kinds, so each
+    /// child may also receive kinds it did not ask for.
+    fn bind(&mut self, ops_per_instr: &[u8]) -> EventKinds {
+        let mut kinds = EventKinds::NONE;
+        for sink in &self.sinks {
+            kinds |= sink.borrow_mut().bind(ops_per_instr);
+        }
+        kinds
     }
 }
 
@@ -291,6 +360,126 @@ mod tests {
             bit: 1,
         });
         assert_eq!(ring.borrow().len(), 1);
+    }
+
+    /// Records the kind of every event it receives and reads `reads`.
+    struct KindSink {
+        reads: EventKinds,
+        seen: Vec<&'static str>,
+        ops: Vec<u8>,
+    }
+
+    impl KindSink {
+        fn shared(reads: EventKinds) -> Rc<RefCell<KindSink>> {
+            Rc::new(RefCell::new(KindSink {
+                reads,
+                seen: Vec::new(),
+                ops: Vec::new(),
+            }))
+        }
+    }
+
+    impl TraceSink for KindSink {
+        fn event(&mut self, event: &TraceEvent) {
+            self.seen.push(event.kind());
+        }
+
+        fn bind(&mut self, ops_per_instr: &[u8]) -> EventKinds {
+            self.ops = ops_per_instr.to_vec();
+            self.reads
+        }
+    }
+
+    /// One event of each of four kinds, emitted through every entry point.
+    fn emit_mixed(h: &SinkHandle) {
+        h.emit(TraceEvent::InstrIssue {
+            cycle: 0,
+            pc: 0,
+            ops: 1,
+        });
+        h.emit(TraceEvent::OpDispatch {
+            cycle: 0,
+            pc: 0,
+            slot: 0,
+            unit: "alu",
+            mnemonic: "iadd",
+            executed: true,
+        });
+        h.emit_with(|| TraceEvent::PrefetchIssue {
+            cycle: 1.0,
+            base: 0x80,
+        });
+        h.emit_now(TraceEvent::FaultFlip {
+            site: "data memory",
+            byte: 0,
+            bit: 0,
+        });
+        h.flush();
+    }
+
+    #[test]
+    fn bound_handle_delivers_only_the_kinds_read() {
+        let sink = KindSink::shared(EventKinds::INSTR_ISSUE);
+        let h = SinkHandle::from(sink.clone());
+        h.bind(&[3, 1]);
+        assert!(h.wants(EventKinds::INSTR_ISSUE | EventKinds::OP_DISPATCH));
+        assert!(!h.wants(EventKinds::OP_DISPATCH));
+        emit_mixed(&h);
+        let s = sink.borrow();
+        assert_eq!(s.seen, ["instr_issue"]);
+        assert_eq!(s.ops, [3, 1], "the op table reaches the sink");
+    }
+
+    #[test]
+    fn unbound_handle_delivers_every_kind() {
+        let sink = KindSink::shared(EventKinds::NONE);
+        let h = SinkHandle::from(sink.clone());
+        assert!(h.wants(EventKinds::ALL));
+        emit_mixed(&h);
+        assert_eq!(
+            sink.borrow().seen,
+            ["instr_issue", "op_dispatch", "prefetch_issue", "fault_flip"]
+        );
+        assert!(!SinkHandle::disabled().wants(EventKinds::ALL));
+    }
+
+    #[test]
+    fn bind_flushes_events_staged_under_the_old_set() {
+        let sink = KindSink::shared(EventKinds::NONE);
+        let h = SinkHandle::from(sink.clone());
+        h.emit(TraceEvent::InstrIssue {
+            cycle: 0,
+            pc: 0,
+            ops: 1,
+        });
+        assert!(sink.borrow().seen.is_empty(), "staged, not delivered");
+        h.bind(&[]);
+        assert_eq!(sink.borrow().seen, ["instr_issue"]);
+        h.emit(TraceEvent::InstrIssue {
+            cycle: 1,
+            pc: 0,
+            ops: 1,
+        });
+        h.flush();
+        assert_eq!(sink.borrow().seen.len(), 1, "the new set reads nothing");
+    }
+
+    #[test]
+    fn fanout_binds_children_pushed_after_the_handle_to_their_union() {
+        let a = KindSink::shared(EventKinds::INSTR_ISSUE);
+        let b = KindSink::shared(EventKinds::PREFETCH_ISSUE);
+        let fan = Rc::new(RefCell::new(FanoutSink::new()));
+        let h = SinkHandle::from(fan.clone());
+        fan.borrow_mut().push(a.clone());
+        fan.borrow_mut().push(b.clone());
+        h.bind(&[2]);
+        assert_eq!(a.borrow().ops, [2]);
+        assert_eq!(b.borrow().ops, [2]);
+        emit_mixed(&h);
+        // Each child receives the union, not just its own kinds.
+        for child in [&a, &b] {
+            assert_eq!(child.borrow().seen, ["instr_issue", "prefetch_issue"]);
+        }
     }
 
     #[test]

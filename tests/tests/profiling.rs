@@ -13,7 +13,8 @@ use tm3270_bench::profile::{
 use tm3270_core::{Machine, MachineConfig, RunOptions, SimError};
 use tm3270_fault::{FaultInjector, FaultSite};
 use tm3270_obs::{
-    CounterSink, FanoutSink, ProfileSink, RingSink, SinkHandle, TimelineSink, TraceEvent,
+    CounterSink, EventKinds, FanoutSink, ProfileSink, RingSink, SinkHandle, TimelineSink,
+    TraceEvent, TraceSink,
 };
 
 /// The acceptance criterion of the observability layer: on every golden
@@ -217,6 +218,143 @@ fn watchdog_abort_conserves_hotspots_and_timeline() {
         report.cycle,
         "timeline deltas must sum to the abort cycle"
     );
+}
+
+/// How a [`ProfileSink`] is attached in [`profile_both_ways`].
+#[derive(Debug, Clone, Copy)]
+enum Attach {
+    /// Alone: bound to its own four kinds, so the run is filtered.
+    Alone,
+    /// Inside a fan-out with a [`CounterSink`], so it receives every
+    /// event.
+    WithCounter,
+}
+
+/// Runs `m` (fresh, set up) with a [`ProfileSink`] attached as `attach`
+/// and returns the sink and the cycle count the profile must conserve
+/// (`RunStats.cycles`, or the abort cycle of a failed run), plus the
+/// `(ops, exec_ops)` the run counted.
+fn profile_run(mut m: Machine, budget: u64, attach: Attach) -> (ProfileSink, u64, (u64, u64)) {
+    let profile = Rc::new(RefCell::new(ProfileSink::new(m.program().instrs.len())));
+    match attach {
+        Attach::Alone => m.attach_sink(SinkHandle::from(profile.clone())),
+        Attach::WithCounter => {
+            let mut fan = FanoutSink::new();
+            fan.push(Rc::new(RefCell::new(CounterSink::new())));
+            fan.push(profile.clone());
+            m.attach_sink(SinkHandle::from(Rc::new(RefCell::new(fan))));
+        }
+    }
+    let outcome = m.run_with(RunOptions::budget(budget).with_report());
+    let cycles = match (&outcome.result, &outcome.report) {
+        (Ok(stats), _) => stats.cycles,
+        (Err(_), Some(report)) => report.cycle,
+        (Err(e), None) => panic!("{e} without a report"),
+    };
+    let stats = m.stats_snapshot();
+    let sink = profile.borrow().clone();
+    (sink, cycles, (stats.ops, stats.exec_ops))
+}
+
+/// Runs a program both ways and checks that the filtered and the full
+/// event streams give one profile, which conserves cycles and ops.
+fn profile_both_ways(what: &str, make: impl Fn() -> Machine, budget: u64) {
+    let (alone, cycles, (ops, exec_ops)) = profile_run(make(), budget, Attach::Alone);
+    let (full, full_cycles, _) = profile_run(make(), budget, Attach::WithCounter);
+    assert_eq!(cycles, full_cycles, "{what}: the sink changed the run");
+    assert_eq!(
+        alone.per_pc(),
+        full.per_pc(),
+        "{what}: filtered and full streams must give one profile"
+    );
+    assert!(
+        alone.events() < full.events(),
+        "{what}: the filtered stream is shorter"
+    );
+    assert_eq!(alone.total_cycles(), cycles, "{what}: cycles conserved");
+    let sum = |f: fn(&tm3270_obs::PcProfile) -> u64| alone.per_pc().iter().map(f).sum::<u64>();
+    assert_eq!(sum(|p| p.ops), ops, "{what}: Σ ops == RunStats.ops");
+    assert_eq!(
+        sum(|p| p.exec_ops),
+        exec_ops,
+        "{what}: Σ exec_ops == RunStats.exec_ops"
+    );
+}
+
+/// A bound [`ProfileSink`] reads only four event kinds and derives its
+/// op counts from `InstrIssue` and the bound op table; inside a fan-out
+/// it is delivered every event. Both give the same per-PC table on every
+/// golden kernel on configs A and D, and on a watchdog-aborted run.
+#[test]
+fn filtered_and_full_streams_give_one_profile() {
+    for config in [MachineConfig::config_a(), MachineConfig::config_d()] {
+        for name in golden_names() {
+            let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
+            let program = kernel.build(&config.issue).unwrap();
+            let make = || {
+                let mut m = Machine::new(config.clone(), program.clone()).unwrap();
+                kernel.setup(&mut m);
+                m
+            };
+            profile_both_ways(
+                &format!("{name} on {}", config.name),
+                make,
+                kernel.cycle_budget(),
+            );
+        }
+    }
+    let config = MachineConfig::tm3270();
+    let mut b = ProgramBuilder::new(config.issue);
+    let top = b.bind_here();
+    b.jump(top);
+    let program = b.build().unwrap();
+    let make = || {
+        let mut m = Machine::new(config.clone(), program.clone()).unwrap();
+        m.set_watchdog(500);
+        m
+    };
+    profile_both_ways("jump-only watchdog program", make, 100_000);
+}
+
+/// Counts the event kinds delivered to it; reads only `InstrIssue`.
+#[derive(Default)]
+struct IssueOnly {
+    issues: u64,
+    others: u64,
+}
+
+impl TraceSink for IssueOnly {
+    fn event(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::InstrIssue { .. } => self.issues += 1,
+            _ => self.others += 1,
+        }
+    }
+
+    fn bind(&mut self, _ops_per_instr: &[u8]) -> EventKinds {
+        EventKinds::INSTR_ISSUE
+    }
+}
+
+/// `Machine::attach_sink` binds the sink: one bound to `InstrIssue`
+/// alone receives exactly one event per issued instruction and no other
+/// kind, on a kernel with loads, stores, stalls and branches.
+#[test]
+fn attached_sink_receives_only_the_kinds_it_reads() {
+    let config = MachineConfig::config_d();
+    let kernel = find_workload("filter").expect("filter in registry");
+    let mut m = Machine::new(config.clone(), kernel.build(&config.issue).unwrap()).unwrap();
+    let sink = Rc::new(RefCell::new(IssueOnly::default()));
+    m.attach_sink(SinkHandle::from(sink.clone()));
+    kernel.setup(&mut m);
+    let stats = m
+        .run_with(RunOptions::budget(kernel.cycle_budget()))
+        .into_result()
+        .unwrap();
+    let s = sink.borrow();
+    assert_eq!(s.issues, stats.instrs);
+    assert_eq!(s.others, 0, "no other kind reaches the sink");
+    assert!(stats.branches > 0 && stats.data_stall_cycles + stats.ifetch_stall_cycles > 0);
 }
 
 /// Minimal JSON well-formedness checker (the repo carries no
