@@ -17,6 +17,9 @@ cargo test --release -q -p tm3270-isa
 echo "== cargo test --release (traced engine and profiling, as benchmarked) =="
 cargo test --release -q --test profiling --test superblock_engine
 
+echo "== cargo test --release (snapshots: restore must refuse bad states without the debug seam asserts) =="
+cargo test --release -q --test snapshot_equivalence
+
 echo "== cargo clippy =="
 cargo clippy -q --all-targets -- -D warnings
 

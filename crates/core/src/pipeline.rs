@@ -11,9 +11,12 @@
 
 use crate::config::MachineConfig;
 use crate::snapshot::Snapshot;
+use tm3270_encode::snapshot::{
+    Array, Bounded, Codec, Count, List, Nested, Opt, RawF64, State, U32, U64, U8,
+};
 use tm3270_encode::{
-    decode_program_detailed, encode_program, DecodeFault, EncodedProgram, SnapshotError,
-    SnapshotReader, SnapshotWriter,
+    decode_program_detailed, encode_program, DecodeFault, EncodedProgram, SectionReader,
+    SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use tm3270_isa::{
     execute, ld_frac8_value, pure_fn, super_ld32_words, value::sign_extend, Access, DataMemory,
@@ -259,7 +262,7 @@ impl RunStats {
 
 /// One executed VLIW instruction, as kept in the crash-report ring (see
 /// [`Machine::recent_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Cycle at which the instruction issued (after front-end stalls).
     pub cycle: u64,
@@ -499,7 +502,7 @@ const WRITE_BUCKET_SLOTS: usize = 2 * WRITE_BUCKET_CAP;
 /// advance in lock-step with issue. The per-step commit drains exactly
 /// one bucket (the current instruction slot): O(1), no scan of
 /// unrelated in-flight writes and no allocation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct WriteRing {
     /// Bucket `b` holds `slots[b][..lens[b]]`, in push order.
     slots: Box<[[(Reg, u32); WRITE_BUCKET_SLOTS]; WRITE_RING]>,
@@ -552,10 +555,50 @@ impl WriteRing {
     }
 }
 
+/// The writeback buckets on the wire: 32 lists of `(register, value)`.
+/// A bucket longer than its fixed storage is refused here; the `WRNG`
+/// row bounds it tighter.
+struct Buckets;
+
+impl Codec<WriteRing> for Buckets {
+    fn save(ring: &WriteRing, w: &mut SectionWriter<'_>) {
+        for b in 0..WRITE_RING {
+            List::<(U8, U32)>::save(&ring.bucket(b).to_vec(), w);
+        }
+    }
+
+    fn load(ring: &mut WriteRing, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
+        for b in 0..WRITE_RING {
+            let mut entries = Vec::new();
+            List::<(U8, U32)>::load(&mut entries, r)?;
+            ring.slots[b]
+                .get_mut(..entries.len())
+                .ok_or(SnapshotError::Corrupt {
+                    what: "writeback bucket exceeds its storage",
+                })?
+                .copy_from_slice(&entries);
+            ring.lens[b] = entries.len();
+        }
+        Ok(())
+    }
+}
+
+/// A ring is bounded by its longest bucket.
+impl Bounded for WriteRing {
+    fn measure(&self) -> Option<u64> {
+        self.lens.iter().max().map(|&len| len as u64)
+    }
+
+    fn set(&mut self, m: u64) {
+        let longest = (0..WRITE_RING).max_by_key(|&b| self.lens[b]).unwrap_or(0);
+        self.lens[longest] = (m as usize).min(WRITE_BUCKET_SLOTS);
+    }
+}
+
 /// The crash-report ring: the last `cap` [`TraceRecord`]s, oldest at
 /// `head` once full. Storage grows to `cap` on first use and is then
 /// overwritten in place.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TraceRing {
     records: Vec<TraceRecord>,
     head: usize,
@@ -584,19 +627,46 @@ impl TraceRing {
         }
     }
 
-    fn clear(&mut self) {
-        self.records.clear();
-        self.head = 0;
-    }
-
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-
     /// The records, oldest first.
     fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         let (newer, older) = self.records.split_at(self.head);
         older.iter().chain(newer)
+    }
+}
+
+/// The ring on the wire is its records, oldest first; a restored ring
+/// starts at its oldest record, and the `TRCE` row bounds its length.
+impl Codec<TraceRing> for List<Nested> {
+    fn save(ring: &TraceRing, w: &mut SectionWriter<'_>) {
+        List::<Nested>::save(&ring.iter().copied().collect::<Vec<_>>(), w);
+    }
+
+    fn load(ring: &mut TraceRing, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
+        ring.head = 0;
+        List::<Nested>::load(&mut ring.records, r)
+    }
+}
+
+impl Bounded for TraceRing {
+    fn measure(&self) -> Option<u64> {
+        Some(self.records.len() as u64)
+    }
+
+    fn set(&mut self, m: u64) {
+        self.records = self.iter().copied().collect();
+        self.records.set(m);
+        self.head = 0;
+    }
+}
+
+tm3270_encode::snapshot_table! {
+    impl TraceRecord |r| {
+        cycle: U64,
+        pc: U64,
+        ops_executed: U8,
+        ifetch_stall: U64,
+        data_stall: U64,
+        branch_taken: Opt<U64>,
     }
 }
 
@@ -710,13 +780,7 @@ impl Machine {
                 ifetch_stall_cycles: 0,
                 data_stall_cycles: 0,
                 freq_mhz: freq,
-                mem: FullStats {
-                    mem: Default::default(),
-                    dcache: Default::default(),
-                    icache: Default::default(),
-                    prefetch: Default::default(),
-                    dram: Default::default(),
-                },
+                mem: FullStats::default(),
             },
             watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
             last_progress_cycle: 0,
@@ -914,12 +978,21 @@ impl Machine {
     ///
     /// See [`SimError`].
     pub fn step(&mut self) -> Result<(), SimError> {
-        let budget = self.cycle.saturating_add(1);
-        if self.sink.enabled() {
+        self.run_engine(self.cycle.saturating_add(1))
+    }
+
+    /// One engine run to `budget`: the `TRACING` instantiation of
+    /// [`run_fused`](Machine::run_fused) a sink asks for. Debug builds
+    /// check that the seam it stops at is a state
+    /// [`restore`](Machine::restore) accepts.
+    fn run_engine(&mut self, budget: u64) -> Result<(), SimError> {
+        let run = if self.sink.enabled() {
             self.run_fused::<true>(budget)
         } else {
             self.run_fused::<false>(budget)
-        }
+        };
+        debug_assert_eq!(self.well_formed(), Ok(()), "engine left an ill-formed seam");
+        run
     }
 
     /// Outlined trace emission for one dispatched operation (the
@@ -1346,15 +1419,11 @@ impl Machine {
             }
             // Returns at a halt or budget boundary (handled by the checks
             // above on the next pass) or with a typed error.
-            let run = if self.sink.enabled() {
-                self.run_fused::<true>(opts.budget)
-            } else {
-                self.run_fused::<false>(opts.budget)
-            };
-            if let Err(e) = run {
+            if let Err(e) = self.run_engine(opts.budget) {
                 break Err(e);
             }
         };
+        debug_assert_eq!(self.well_formed(), Ok(()), "run left an ill-formed state");
         // Drain staged trace events (success and crash paths alike) so
         // sinks are complete when the caller reads them.
         self.sink.flush();
@@ -1385,259 +1454,112 @@ impl Machine {
 
     /// Serializes the complete mutable machine state — registers,
     /// PC/issue state, the writeback scoreboard, the trace ring and the
-    /// whole memory system — into a versioned [`Snapshot`]. Restoring it
-    /// with [`restore`](Machine::restore) on a machine built from the
-    /// same configuration and program continues the run bit-identically
-    /// to one that was never interrupted.
+    /// whole memory system — into a versioned [`Snapshot`], one section
+    /// per group of the machine's snapshot table. Restoring it with
+    /// [`restore`](Machine::restore) on a machine built from the same
+    /// configuration and program continues the run bit-identically to
+    /// one that was never interrupted.
     ///
     /// This is a cold-path method: nothing is precomputed or tracked for
     /// it during stepping, so a machine that never snapshots pays zero
     /// cost for the capability.
     pub fn snapshot(&self) -> Snapshot {
         let mut w = SnapshotWriter::new();
-        w.section(*b"CORE", |s| {
-            s.u64(self.pc as u64);
-            s.u64(self.cycle);
-            for chunk in self.ibuf {
-                s.u32(chunk);
-            }
-            s.u64(self.ibuf_next as u64);
-            match self.pending_branch {
-                Some((remaining, target)) => {
-                    s.u8(1);
-                    s.u32(remaining);
-                    s.u64(target as u64);
-                }
-                None => {
-                    s.u8(0);
-                    s.u32(0);
-                    s.u64(0);
-                }
-            }
-            s.u64(self.watchdog_cycles);
-            s.u64(self.last_progress_cycle);
-            for v in [
-                self.stats.cycles,
-                self.stats.instrs,
-                self.stats.ops,
-                self.stats.exec_ops,
-                self.stats.branches,
-                self.stats.taken_branches,
-                self.stats.ifetch_stall_cycles,
-                self.stats.data_stall_cycles,
-            ] {
-                s.u64(v);
-            }
-            s.f64(self.stats.freq_mhz);
-            self.stats.mem.save_state(s);
-        });
-        w.section(*b"REGS", |s| {
-            for i in 0..128u8 {
-                s.u32(self.regs.read(Reg::new(i)));
-            }
-        });
-        w.section(*b"WRNG", |s| {
-            s.u64(self.writes.next);
-            for b in 0..WRITE_RING {
-                let bucket = self.writes.bucket(b);
-                s.u64(bucket.len() as u64);
-                for &(r, v) in bucket {
-                    s.u8(r.index() as u8);
-                    s.u32(v);
-                }
-            }
-        });
-        w.section(*b"TRCE", |s| {
-            s.u64(self.trace_ring.len() as u64);
-            for rec in self.trace_ring.iter() {
-                s.u64(rec.cycle);
-                s.u64(rec.pc as u64);
-                s.u8(rec.ops_executed);
-                s.u64(rec.ifetch_stall);
-                s.u64(rec.data_stall);
-                match rec.branch_taken {
-                    Some(t) => {
-                        s.u8(1);
-                        s.u64(t as u64);
-                    }
-                    None => {
-                        s.u8(0);
-                        s.u64(0);
-                    }
-                }
-            }
-        });
-        w.section(*b"MEMS", |s| self.mem.save_state(s));
+        w.sections(|w| self.save_state(w));
         Snapshot::from_bytes(w.finish())
     }
 
-    /// Rejects restored issue state the engine never produces and could
-    /// not run from: a pending branch outside its delay-slot range, a
-    /// last-progress cycle in the future, or a writeback cursor other
-    /// than one the engine leaves behind — `instrs` at every run
-    /// boundary, `instrs + 1` when an exec error stops an instruction
-    /// midway, and `u64::MAX` once a halted machine drained its results.
-    fn check_seam(&self) -> Result<(), SnapshotError> {
-        if let Some((remaining, _)) = self.pending_branch {
-            if !(1..=self.config.issue.jump_delay_slots).contains(&remaining) {
-                return Err(SnapshotError::Corrupt {
-                    what: "pending branch delay slots out of range",
-                });
-            }
-        }
-        if self.last_progress_cycle > self.cycle {
-            return Err(SnapshotError::Corrupt {
-                what: "last progress cycle lies in the future",
-            });
-        }
-        let (cursor, instrs) = (self.writes.next, self.stats.instrs);
-        let drained = cursor == u64::MAX && self.writes.pending == 0 && self.is_halted();
-        if cursor != instrs && Some(cursor) != instrs.checked_add(1) && !drained {
-            return Err(SnapshotError::Corrupt {
-                what: "writeback ring cursor does not match the instruction count",
-            });
-        }
-        Ok(())
-    }
-
-    /// Restores state captured by [`snapshot`](Machine::snapshot). The
-    /// machine must have been built from the same configuration and
-    /// program image as the one that was snapshotted; the configuration,
-    /// program, issue plan and trace sink are untouched.
+    /// Restores state captured by [`snapshot`](Machine::snapshot): decodes
+    /// every row of the snapshot table, then checks
+    /// [`well_formed`](Machine::well_formed). The machine must have been
+    /// built from the same configuration and program image as the one
+    /// that was snapshotted; the configuration, program, issue plan,
+    /// engine telemetry and trace sink are kept.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] on a bad magic, a different format version,
-    /// truncation, checksum failure, state inconsistent with this
-    /// machine's configuration, or state the engine never produces (an
-    /// out-of-place writeback cursor, a pending branch outside its delay
-    /// slots, a progress cycle in the future, a counter or clock above
-    /// [`SNAPSHOT_COUNT_LIMIT`](tm3270_encode::SNAPSHOT_COUNT_LIMIT)).
-    /// Never panics, whatever the bytes, and neither does a run from an
-    /// accepted state. The machine state is unspecified after an error —
-    /// restore again or discard the machine.
+    /// truncation, checksum failure, a value a row's codec does not
+    /// carry (a counter above
+    /// [`SNAPSHOT_COUNT_LIMIT`](tm3270_encode::SNAPSHOT_COUNT_LIMIT), a
+    /// clock outside `0..=SNAPSHOT_COUNT_LIMIT`, an undefined flag), or a
+    /// state outside a row's invariant. Never panics, whatever the bytes,
+    /// and neither does a run from an accepted state. After an error the
+    /// machine is unchanged.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let reader = SnapshotReader::parse(snap.as_bytes())?;
-
-        let mut s = reader.section(*b"CORE")?;
-        self.pc = usize::try_from(s.u64("pc")?).map_err(|_| SnapshotError::Corrupt {
-            what: "pc overflows the address space",
-        })?;
-        self.cycle = s.count("cycle")?;
-        for chunk in &mut self.ibuf {
-            *chunk = s.u32("instruction buffer")?;
-        }
-        let ibuf_next = s.u64("instruction buffer cursor")?;
-        if ibuf_next >= self.ibuf.len() as u64 {
-            return Err(SnapshotError::Corrupt {
-                what: "instruction buffer cursor out of range",
-            });
-        }
-        self.ibuf_next = ibuf_next as usize;
-        let branch_flag = s.u8("pending branch flag")?;
-        let remaining = s.u32("pending branch slots")?;
-        let target = s.u64("pending branch target")?;
-        self.pending_branch = match branch_flag {
-            0 => None,
-            1 => Some((
-                remaining,
-                usize::try_from(target).map_err(|_| SnapshotError::Corrupt {
-                    what: "branch target overflows the address space",
-                })?,
-            )),
-            _ => {
-                return Err(SnapshotError::Corrupt {
-                    what: "undefined pending-branch flag",
-                })
-            }
-        };
-        self.watchdog_cycles = s.u64("watchdog")?;
-        self.last_progress_cycle = s.u64("last progress cycle")?;
-        self.stats.cycles = s.count("run stats")?;
-        self.stats.instrs = s.count("run stats")?;
-        self.stats.ops = s.count("run stats")?;
-        self.stats.exec_ops = s.count("run stats")?;
-        self.stats.branches = s.count("run stats")?;
-        self.stats.taken_branches = s.count("run stats")?;
-        self.stats.ifetch_stall_cycles = s.count("run stats")?;
-        self.stats.data_stall_cycles = s.count("run stats")?;
-        self.stats.freq_mhz = s.f64("run stats")?;
-        self.stats.mem = FullStats::load_state(&mut s)?;
-
-        let mut s = reader.section(*b"REGS")?;
-        for i in 0..128u8 {
-            self.regs.write(Reg::new(i), s.u32("register")?);
-        }
-
-        let mut s = reader.section(*b"WRNG")?;
-        self.writes.next = s.u64("writeback ring cursor")?;
-        self.writes.pending = 0;
-        for b in 0..WRITE_RING {
-            let len = s.u64("writeback bucket length")?;
-            if len > WRITE_BUCKET_CAP as u64 {
-                return Err(SnapshotError::Corrupt {
-                    what: "writeback bucket exceeds its capacity",
-                });
-            }
-            self.writes.lens[b] = 0;
-            for _ in 0..len {
-                let idx = s.u8("writeback register")?;
-                let reg = Reg::try_new(idx).ok_or(SnapshotError::Corrupt {
-                    what: "writeback register out of range",
-                })?;
-                let value = s.u32("writeback value")?;
-                self.writes.slots[b][self.writes.lens[b]] = (reg, value);
-                self.writes.lens[b] += 1;
-            }
-            self.writes.pending += self.writes.lens[b];
-        }
-        self.check_seam()?;
-
-        let mut s = reader.section(*b"TRCE")?;
-        let records = s.u64("trace ring length")?;
-        if records > self.config.trace_ring as u64 {
-            return Err(SnapshotError::Corrupt {
-                what: "trace ring longer than configured",
-            });
-        }
-        self.trace_ring.clear();
-        for _ in 0..records {
-            let cycle = s.u64("trace record")?;
-            let pc =
-                usize::try_from(s.u64("trace record")?).map_err(|_| SnapshotError::Corrupt {
-                    what: "trace pc overflows the address space",
-                })?;
-            let ops_executed = s.u8("trace record")?;
-            let ifetch_stall = s.u64("trace record")?;
-            let data_stall = s.u64("trace record")?;
-            let branch_flag = s.u8("trace record")?;
-            let branch_target = s.u64("trace record")?;
-            let branch_taken = match branch_flag {
-                0 => None,
-                1 => Some(
-                    usize::try_from(branch_target).map_err(|_| SnapshotError::Corrupt {
-                        what: "trace branch target overflows the address space",
-                    })?,
-                ),
-                _ => {
-                    return Err(SnapshotError::Corrupt {
-                        what: "undefined trace branch flag",
-                    })
-                }
-            };
-            self.trace_ring.push(TraceRecord {
-                cycle,
-                pc,
-                ops_executed,
-                ifetch_stall,
-                data_stall,
-                branch_taken,
-            });
-        }
-
-        let mut s = reader.section(*b"MEMS")?;
-        self.mem.load_state(&mut s)?;
+        let mut next = Machine::assemble(
+            self.config.clone(),
+            self.program.clone(),
+            self.image.clone(),
+            self.trusted_schedule,
+        );
+        next.load_state(&mut reader.sections())?;
+        next.well_formed()?;
+        next.telemetry = self.telemetry;
+        next.mem.attach_sink(self.sink.clone());
+        next.sink = self.sink.clone();
+        *self = next;
         Ok(())
+    }
+
+    /// Whether a halted machine has drained its writeback ring, which
+    /// parks the ring's cursor at `u64::MAX`.
+    fn drained(&self) -> bool {
+        self.writes.next == u64::MAX && self.writes.pending == 0 && self.is_halted()
+    }
+
+    /// The most writes one landing slot collects: the five write ports
+    /// for a scheduled program, else [`WRITE_BUCKET_CAP`].
+    fn bucket_cap(&self) -> u64 {
+        if self.trusted_schedule {
+            5
+        } else {
+            WRITE_BUCKET_CAP as u64
+        }
+    }
+}
+
+// The snapshot table of the machine: the mutable state, section by
+// section. The configuration, program, issue plan, telemetry and trace
+// sink are not state. The writeback cursor is `instrs` at every run
+// seam, `instrs + 1` when an exec error stopped an instruction midway
+// and `u64::MAX` once a halted machine drained its results. Only at an
+// exec-error seam can a bucket hold more than one pass of writes: each
+// retry of the faulting instruction pushes its earlier ops' writes again.
+tm3270_encode::snapshot_table! {
+    impl Machine |m| {
+        b"CORE": Section,
+        pc: U64,
+        cycle: Count,
+        ibuf: Array<U32>,
+        ibuf_next: U64 where [0, m.ibuf.len() as u64 - 1],
+        pending_branch: Opt<(U32, U64)> where [1, m.config.issue.jump_delay_slots.into()],
+        watchdog_cycles: U64 where [1, u64::MAX],
+        last_progress_cycle: U64 where [0, m.cycle],
+        (stats.cycles): Count,
+        (stats.instrs): Count,
+        (stats.ops): Count,
+        (stats.exec_ops): Count,
+        (stats.branches): Count,
+        (stats.taken_branches): Count,
+        (stats.ifetch_stall_cycles): Count,
+        (stats.data_stall_cycles): Count,
+        (stats.freq_mhz): RawF64
+            where [m.config.freq_mhz().to_bits(), m.config.freq_mhz().to_bits()],
+        (stats.mem): Nested,
+        b"REGS": Section,
+        regs: Array<U32>,
+        b"WRNG": Section,
+        (writes.next): U64 where [m.stats.instrs, m.stats.instrs + 1] unless m.drained(),
+        writes: Buckets where [0, m.bucket_cap()] unless m.writes.next == m.stats.instrs + 1,
+        b"TRCE": Section,
+        trace_ring: List<Nested> where [0, m.config.trace_ring as u64],
+        b"MEMS": Section,
+        mem: Nested,
+    }
+    after_load {
+        m.writes.pending = m.writes.lens.iter().sum();
     }
 }
 
@@ -2170,6 +2092,8 @@ mod tests {
                 Err(SimError::MisalignedAccess { pc: 1, .. })
             ));
         }
+        let mut resumed = Machine::from_image(m.config.clone(), m.image.clone()).unwrap();
+        resumed.restore(&m.snapshot()).unwrap();
         m.commit_writes(u64::MAX);
         assert_eq!(m.reg(r(5)), 14);
     }

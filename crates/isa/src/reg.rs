@@ -22,7 +22,7 @@ pub const NUM_REGS: usize = 128;
 /// assert_eq!(r.index(), 5);
 /// assert_eq!(r.to_string(), "r5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

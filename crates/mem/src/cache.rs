@@ -18,7 +18,7 @@
 //! implementation (pinned by `tests/tests/cache_differential.rs` and
 //! the engine-equivalence golden cells).
 
-use tm3270_encode::{SectionReader, SectionWriter, SnapshotError};
+use tm3270_encode::snapshot::{Array, Count, Flags, List, Nested, U32, U64};
 
 /// Maximum line size the fixed validity bitmask supports, in bytes. The
 /// paper machines use 64/128-byte lines; the ablation studies sweep up
@@ -32,7 +32,7 @@ const MASK_WORDS: usize = (MAX_LINE as usize) / 64;
 /// `Vec<bool>`: all-valid checks are word compares, copy-back sizing is
 /// `count_ones`, and whole-line validation/invalidation are constant
 /// stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ByteMask {
     w: [u64; MASK_WORDS],
 }
@@ -199,7 +199,7 @@ impl CacheGeometry {
 }
 
 /// State of one cache line.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u32,
     valid: bool,
@@ -648,101 +648,49 @@ impl CacheArray {
         self.stats
     }
 
-    /// Serializes the mutable array state — LRU clock, statistics and
-    /// every line's tag/flags/recency/byte-validity — into a snapshot
-    /// section. The search hints (last-line memo, MRU ways) are *not*
-    /// saved: they never change observable behaviour, so restore simply
-    /// starts them cold.
-    pub fn save_state(&self, w: &mut SectionWriter<'_>) {
-        w.u64(self.tick);
-        self.stats.save_state(w);
-        w.u64(self.lines.len() as u64);
-        for l in &self.lines {
-            w.u32(l.tag);
-            w.u8(u8::from(l.valid) | (u8::from(l.dirty) << 1) | (u8::from(l.prefetched) << 2));
-            w.u64(l.lru);
-            for word in l.valid_bytes.w {
-                w.u64(word);
-            }
-        }
-    }
-
-    /// Restores state saved by [`save_state`](Self::save_state) into an
-    /// array of the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on truncation, a line count that does not match
-    /// this geometry, undefined flag bits or a counter out of range. The
-    /// array state is unspecified after an error.
-    pub fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
-        self.tick = r.count("cache tick")?;
-        self.stats = CacheStats::load_state(r)?;
-        if r.u64("cache line count")? != self.lines.len() as u64 {
-            return Err(SnapshotError::Corrupt {
-                what: "cache line count does not match the geometry",
-            });
-        }
-        for (l, packed) in self.lines.iter_mut().zip(&mut self.tags) {
-            l.tag = r.u32("cache line tag")?;
-            let flags = r.u8("cache line flags")?;
-            if flags & !0b111 != 0 {
-                return Err(SnapshotError::Corrupt {
-                    what: "undefined cache line flag bits",
-                });
-            }
-            l.valid = flags & 0b001 != 0;
-            l.dirty = flags & 0b010 != 0;
-            l.prefetched = flags & 0b100 != 0;
-            l.lru = r.u64("cache line lru")?;
-            for word in &mut l.valid_bytes.w {
-                *word = r.u64("cache line validity mask")?;
-            }
-            *packed = if l.valid { Self::packed_tag(l.tag) } else { 0 };
-        }
-        self.memo_base = NO_MEMO;
-        self.memo_idx = 0;
-        self.mru_way.fill(0);
-        Ok(())
+    /// Lines in the array: sets × ways.
+    fn line_count(&self) -> u64 {
+        u64::from(self.geometry.sets() * self.geometry.ways)
     }
 }
 
-impl CacheStats {
-    /// Serializes the statistics into a snapshot section.
-    pub fn save_state(&self, w: &mut SectionWriter<'_>) {
-        for v in [
-            self.hits,
-            self.partial_hits,
-            self.misses,
-            self.fills,
-            self.refill_merges,
-            self.allocations,
-            self.copybacks,
-            self.copyback_bytes,
-            self.prefetch_hits,
-        ] {
-            w.u64(v);
-        }
+// The search hints (last-line memo, MRU ways) and the packed tag array
+// are not saved: they follow from the lines, so loading rebuilds them.
+tm3270_encode::snapshot_table! {
+    impl CacheArray |c| {
+        tick: Count,
+        stats: Nested,
+        lines: List<Nested> where [c.line_count(), c.line_count()],
     }
+    after_load {
+        let packed = |l: &Line| if l.valid { Self::packed_tag(l.tag) } else { 0 };
+        c.tags = c.lines.iter().map(packed).collect();
+        c.memo_base = NO_MEMO;
+        c.memo_idx = 0;
+        c.mru_way.fill(0);
+    }
+}
 
-    /// Reads statistics saved by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] if the section runs out,
-    /// [`SnapshotError::Corrupt`] on a counter out of range.
-    pub fn load_state(r: &mut SectionReader<'_>) -> Result<CacheStats, SnapshotError> {
-        Ok(CacheStats {
-            hits: r.count("cache stats")?,
-            partial_hits: r.count("cache stats")?,
-            misses: r.count("cache stats")?,
-            fills: r.count("cache stats")?,
-            refill_merges: r.count("cache stats")?,
-            allocations: r.count("cache stats")?,
-            copybacks: r.count("cache stats")?,
-            copyback_bytes: r.count("cache stats")?,
-            prefetch_hits: r.count("cache stats")?,
-        })
+tm3270_encode::snapshot_table! {
+    impl Line |l| {
+        tag: U32,
+        (valid, dirty, prefetched): Flags,
+        lru: U64,
+        (valid_bytes.w): Array<U64>,
+    }
+}
+
+tm3270_encode::snapshot_table! {
+    impl CacheStats |s| {
+        hits: Count,
+        partial_hits: Count,
+        misses: Count,
+        fills: Count,
+        refill_merges: Count,
+        allocations: Count,
+        copybacks: Count,
+        copyback_bytes: Count,
+        prefetch_hits: Count,
     }
 }
 
@@ -823,6 +771,7 @@ mod tests {
                 }
             }
         }
+        use tm3270_encode::snapshot::State;
         let dump = |c: &CacheArray| {
             let mut w = tm3270_encode::SnapshotWriter::new();
             w.section(*b"test", |s| c.save_state(s));

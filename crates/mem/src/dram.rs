@@ -8,6 +8,8 @@
 //! processor-to-memory clock ratio falls out naturally: at 350 MHz the same
 //! DRAM is "further away" (more CPU cycles per transfer) than at 240 MHz.
 
+use tm3270_encode::snapshot::{Clock, Count, Nested};
+
 /// Configuration of the DRAM channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
@@ -142,58 +144,22 @@ impl Dram {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
+}
 
-    /// Serializes the mutable channel state (the free-at horizon and the
-    /// statistics) into a snapshot section. The clock-ratio fields are
-    /// pure functions of the configuration and are rebuilt, not saved.
-    pub fn save_state(&self, w: &mut tm3270_encode::SectionWriter<'_>) {
-        w.f64(self.free_at);
-        self.stats.save_state(w);
-    }
-
-    /// Restores state saved by [`save_state`](Self::save_state) into a
-    /// channel built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`tm3270_encode::SnapshotError::Truncated`] if the section runs
-    /// out, [`tm3270_encode::SnapshotError::Corrupt`] on a counter or
-    /// cycle time out of range.
-    pub fn load_state(
-        &mut self,
-        r: &mut tm3270_encode::SectionReader<'_>,
-    ) -> Result<(), tm3270_encode::SnapshotError> {
-        self.free_at = r.clock("dram free_at")?;
-        self.stats = DramStats::load_state(r)?;
-        Ok(())
+// The clock-ratio fields follow from the configuration and stay as built.
+tm3270_encode::snapshot_table! {
+    impl Dram |d| {
+        free_at: Clock,
+        stats: Nested,
     }
 }
 
-impl DramStats {
-    /// Serializes the statistics into a snapshot section.
-    pub fn save_state(&self, w: &mut tm3270_encode::SectionWriter<'_>) {
-        w.u64(self.transfers);
-        w.u64(self.demand_transfers);
-        w.u64(self.bytes);
-        w.f64(self.busy_cpu_cycles);
-    }
-
-    /// Reads statistics saved by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`tm3270_encode::SnapshotError::Truncated`] if the section runs
-    /// out, [`tm3270_encode::SnapshotError::Corrupt`] on a counter out of
-    /// range.
-    pub fn load_state(
-        r: &mut tm3270_encode::SectionReader<'_>,
-    ) -> Result<DramStats, tm3270_encode::SnapshotError> {
-        Ok(DramStats {
-            transfers: r.count("dram stats")?,
-            demand_transfers: r.count("dram stats")?,
-            bytes: r.count("dram stats")?,
-            busy_cpu_cycles: r.f64("dram stats")?,
-        })
+tm3270_encode::snapshot_table! {
+    impl DramStats |s| {
+        transfers: Count,
+        demand_transfers: Count,
+        bytes: Count,
+        busy_cpu_cycles: Clock,
     }
 }
 

@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 
+use tm3270_encode::snapshot::{Array, Clock, Count, List, Nested, U32};
 use tm3270_isa::PfParam;
 
 /// Number of prefetch regions (paper: four).
@@ -207,92 +208,32 @@ impl PrefetchUnit {
     pub fn stats(&self) -> PrefetchStats {
         self.stats
     }
+}
 
-    /// Serializes the mutable unit state — region registers, request
-    /// queue, in-flight transfers and statistics — into a snapshot
-    /// section. The queue capacity is configuration, not state.
-    pub fn save_state(&self, w: &mut tm3270_encode::SectionWriter<'_>) {
-        for r in &self.regions {
-            w.u32(r.start);
-            w.u32(r.end);
-            w.u32(r.stride);
-        }
-        w.u64(self.queue.len() as u64);
-        for &base in &self.queue {
-            w.u32(base);
-        }
-        w.u64(self.in_flight.len() as u64);
-        for &(base, completion) in &self.in_flight {
-            w.u32(base);
-            w.f64(completion);
-        }
-        self.stats.save_state(w);
-    }
-
-    /// Restores state saved by [`save_state`](Self::save_state) into a
-    /// unit built with the same queue capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`tm3270_encode::SnapshotError`] on truncation, a queue longer
-    /// than this unit's capacity, or a counter or completion time out of
-    /// range. The unit state is unspecified after an error.
-    pub fn load_state(
-        &mut self,
-        r: &mut tm3270_encode::SectionReader<'_>,
-    ) -> Result<(), tm3270_encode::SnapshotError> {
-        for region in &mut self.regions {
-            region.start = r.u32("prefetch region")?;
-            region.end = r.u32("prefetch region")?;
-            region.stride = r.u32("prefetch region")?;
-        }
-        let queued = r.u64("prefetch queue length")?;
-        if queued > self.capacity as u64 {
-            return Err(tm3270_encode::SnapshotError::Corrupt {
-                what: "prefetch queue longer than its capacity",
-            });
-        }
-        self.queue.clear();
-        for _ in 0..queued {
-            self.queue.push_back(r.u32("prefetch queue entry")?);
-        }
-        let in_flight = r.u64("prefetch in-flight count")?;
-        self.in_flight.clear();
-        for _ in 0..in_flight {
-            let base = r.u32("prefetch in-flight entry")?;
-            let completion = r.clock("prefetch in-flight entry")?;
-            self.in_flight.push((base, completion));
-        }
-        self.stats = PrefetchStats::load_state(r)?;
-        Ok(())
+// The queue capacity is configuration, not state: it bounds the queue.
+tm3270_encode::snapshot_table! {
+    impl PrefetchUnit |p| {
+        regions: Array<Nested>,
+        queue: List<U32> where [0, p.capacity as u64],
+        in_flight: List<(U32, Clock)>,
+        stats: Nested,
     }
 }
 
-impl PrefetchStats {
-    /// Serializes the statistics into a snapshot section.
-    pub fn save_state(&self, w: &mut tm3270_encode::SectionWriter<'_>) {
-        w.u64(self.region_matches);
-        w.u64(self.issued);
-        w.u64(self.filtered);
-        w.u64(self.dropped);
+tm3270_encode::snapshot_table! {
+    impl Region |r| {
+        start: U32,
+        end: U32,
+        stride: U32,
     }
+}
 
-    /// Reads statistics saved by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`tm3270_encode::SnapshotError::Truncated`] if the section runs
-    /// out, [`tm3270_encode::SnapshotError::Corrupt`] on a counter out of
-    /// range.
-    pub fn load_state(
-        r: &mut tm3270_encode::SectionReader<'_>,
-    ) -> Result<PrefetchStats, tm3270_encode::SnapshotError> {
-        Ok(PrefetchStats {
-            region_matches: r.count("prefetch stats")?,
-            issued: r.count("prefetch stats")?,
-            filtered: r.count("prefetch stats")?,
-            dropped: r.count("prefetch stats")?,
-        })
+tm3270_encode::snapshot_table! {
+    impl PrefetchStats |s| {
+        region_matches: Count,
+        issued: Count,
+        filtered: Count,
+        dropped: Count,
     }
 }
 

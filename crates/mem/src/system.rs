@@ -10,7 +10,7 @@
 use crate::cache::{CacheArray, CacheGeometry, CacheStats, Lookup};
 use crate::dram::{Dram, DramConfig, DramStats, Priority};
 use crate::prefetch::{PrefetchStats, PrefetchUnit, Region};
-use tm3270_encode::{SectionReader, SectionWriter, SnapshotError};
+use tm3270_encode::snapshot::{Clock, Count, MemoryRun, Nested};
 use tm3270_isa::{CacheOp, DataMemory, FlatMemory, PfParam};
 use tm3270_obs::{CacheId, CacheOutcome, EventKinds, MemTxKind, SinkHandle, TraceEvent};
 
@@ -595,130 +595,50 @@ impl MemorySystem {
             dram: self.dram.stats(),
         }
     }
+}
 
-    /// Serializes the complete mutable state of the memory system —
-    /// backing memory, both cache arrays, prefetch unit, DRAM channel,
-    /// write-buffer occupancy and statistics — into one snapshot
-    /// section. The flat memory is trailing-zero trimmed: only the bytes
-    /// up to the last non-zero one are stored, which keeps snapshots of
-    /// the default 16 MB address space proportional to the touched
-    /// footprint.
-    pub fn save_state(&self, w: &mut SectionWriter<'_>) {
-        let stored = self.flat.trailing_nonzero_len();
-        w.u64(self.flat.len() as u64);
-        w.u64(stored as u64);
-        self.flat.for_each_chunk(stored, |chunk| w.bytes(chunk));
-        w.f64(self.now);
-        w.f64(self.stall);
-        w.f64(self.cwb_pending);
-        w.f64(self.cwb_last);
-        self.stats.save_state(w);
-        self.dcache.save_state(w);
-        self.icache.save_state(w);
-        self.prefetch.save_state(w);
-        self.dram.save_state(w);
-    }
-
-    /// Restores state saved by [`save_state`](Self::save_state) into a
-    /// system built from the same configuration. The trace sink and the
-    /// configuration itself are untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on truncation, a mismatch against this
-    /// system's configuration (memory size, cache geometry, queue
-    /// capacity), or a counter or clock out of range. The system state
-    /// is unspecified after an error.
-    pub fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
-        if r.u64("memory size")? != self.flat.len() as u64 {
-            return Err(SnapshotError::Corrupt {
-                what: "memory size does not match the configuration",
-            });
-        }
-        let stored = r.u64("stored memory length")?;
-        if stored > self.flat.len() as u64 {
-            return Err(SnapshotError::Corrupt {
-                what: "stored memory exceeds the memory size",
-            });
-        }
-        let stored = stored as usize;
-        let src = r.bytes(stored, "memory contents")?;
-        self.flat.clear();
-        self.flat.write_from(0, src);
-        self.now = r.f64("memory clock")?;
-        self.stall = r.f64("memory stall")?;
-        self.cwb_pending = r.f64("write buffer occupancy")?;
-        self.cwb_last = r.f64("write buffer drain time")?;
-        self.stats = MemStats::load_state(r)?;
-        self.dcache.load_state(r)?;
-        self.icache.load_state(r)?;
-        self.prefetch.load_state(r)?;
-        self.dram.load_state(r)?;
-        Ok(())
+// The flat memory is trailing-zero trimmed, which keeps snapshots of the
+// default 16 MB address space proportional to the touched footprint. The
+// trace sink, the requesting pc and the configuration are not state.
+tm3270_encode::snapshot_table! {
+    impl MemorySystem |m| {
+        flat: MemoryRun,
+        now: Clock,
+        stall: Clock,
+        cwb_pending: Clock,
+        cwb_last: Clock,
+        stats: Nested,
+        dcache: Nested,
+        icache: Nested,
+        prefetch: Nested,
+        dram: Nested,
     }
 }
 
-impl MemStats {
-    /// Serializes the statistics into a snapshot section.
-    pub fn save_state(&self, w: &mut SectionWriter<'_>) {
-        w.u64(self.loads);
-        w.u64(self.stores);
-        w.f64(self.data_stall_cycles);
-        w.f64(self.prefetch_wait_cycles);
-        w.f64(self.instr_stall_cycles);
-        w.u64(self.ifetches);
-        w.u64(self.line_crossers);
-    }
-
-    /// Reads statistics saved by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] if the section runs out,
-    /// [`SnapshotError::Corrupt`] on a counter out of range.
-    pub fn load_state(r: &mut SectionReader<'_>) -> Result<MemStats, SnapshotError> {
-        Ok(MemStats {
-            loads: r.count("mem stats")?,
-            stores: r.count("mem stats")?,
-            data_stall_cycles: r.f64("mem stats")?,
-            prefetch_wait_cycles: r.f64("mem stats")?,
-            instr_stall_cycles: r.f64("mem stats")?,
-            ifetches: r.count("mem stats")?,
-            line_crossers: r.count("mem stats")?,
-        })
+tm3270_encode::snapshot_table! {
+    impl MemStats |s| {
+        loads: Count,
+        stores: Count,
+        data_stall_cycles: Clock,
+        prefetch_wait_cycles: Clock,
+        instr_stall_cycles: Clock,
+        ifetches: Count,
+        line_crossers: Count,
     }
 }
 
-impl FullStats {
-    /// Serializes the aggregate into a snapshot section (used for the
-    /// `RunStats` embedded in a machine snapshot).
-    pub fn save_state(&self, w: &mut SectionWriter<'_>) {
-        self.mem.save_state(w);
-        self.dcache.save_state(w);
-        self.icache.save_state(w);
-        self.prefetch.save_state(w);
-        self.dram.save_state(w);
-    }
-
-    /// Reads an aggregate saved by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] if the section runs out,
-    /// [`SnapshotError::Corrupt`] on a counter out of range.
-    pub fn load_state(r: &mut SectionReader<'_>) -> Result<FullStats, SnapshotError> {
-        Ok(FullStats {
-            mem: MemStats::load_state(r)?,
-            dcache: CacheStats::load_state(r)?,
-            icache: CacheStats::load_state(r)?,
-            prefetch: PrefetchStats::load_state(r)?,
-            dram: DramStats::load_state(r)?,
-        })
+tm3270_encode::snapshot_table! {
+    impl FullStats |s| {
+        mem: Nested,
+        dcache: Nested,
+        icache: Nested,
+        prefetch: Nested,
+        dram: Nested,
     }
 }
 
 /// Snapshot of every statistic the memory system tracks.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FullStats {
     /// Top-level counters and stall breakdown.
     pub mem: MemStats,

@@ -13,7 +13,7 @@
 //! through `execute`.
 
 use tm3270_core::{Machine, RunStats, SimError, DEFAULT_WATCHDOG_CYCLES};
-use tm3270_encode::SnapshotWriter;
+use tm3270_encode::{snapshot::State, SnapshotWriter};
 use tm3270_isa::{execute, ExecError, Reg, RegFile};
 use tm3270_mem::MemorySystem;
 use tm3270_obs::SinkHandle;

@@ -12,6 +12,8 @@
 //! and never a silently half-restored machine being *accepted*.
 
 use tm3270_core::{Machine, MachineConfig, RunOptions, Snapshot, SnapshotError};
+use tm3270_encode::snapshot::{Edge, State};
+use tm3270_encode::SnapshotWriter;
 use tm3270_kernels::registry;
 
 /// Builds the machine for one cell. `setup` controls whether the
@@ -247,15 +249,26 @@ fn reseal(bytes: &[u8], tag: [u8; 4], offset: usize, value: &[u8]) -> Snapshot {
     Snapshot::from_bytes(out)
 }
 
-/// `CORE` payload offsets (see `Machine::snapshot`): pc, cycle, four
-/// instruction-buffer chunks, the buffer cursor, then the pending branch.
-const CORE_BRANCH_FLAG: usize = 40;
-const CORE_BRANCH_SLOTS: usize = 41;
-const CORE_LAST_PROGRESS: usize = 61;
-const CORE_INSTRS: usize = 77;
+/// Offset of `row`, a dotted path of the machine's snapshot table, in
+/// its section's payload.
+fn row_offset(m: &Machine, row: &str) -> usize {
+    let mut found = None;
+    let mark = &mut |r: &str, at| found = found.or((r == row).then_some(at));
+    SnapshotWriter::new().sections(|w| m.layout(w, mark));
+    found.unwrap_or_else(|| panic!("no row {row}"))
+}
 
-fn core_u64(bytes: &[u8], offset: usize) -> u64 {
-    let at = section_payload(bytes, *b"CORE") + offset;
+/// The table-driven generator: a checksum-valid snapshot of `m` per
+/// bound of every invariant of its snapshot table, with the row at the
+/// bound and just past it.
+fn edge_snapshots(m: &mut Machine) -> Vec<(Edge, Snapshot)> {
+    let mut out = Vec::new();
+    m.for_each_edge(&mut |m, edge| out.push((edge, m.snapshot())));
+    out
+}
+
+fn core_u64(m: &Machine, bytes: &[u8], row: &str) -> u64 {
+    let at = section_payload(bytes, *b"CORE") + row_offset(m, row);
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
@@ -332,40 +345,44 @@ fn restore_accepts_exactly_the_states_the_engine_produces() {
     let mut m = build_cell(&registry(1)[0], &MachineConfig::evaluation_suite()[0], true);
     let _ = m.run_with(RunOptions::budget(200)).into_result();
     let bytes = m.snapshot().into_bytes();
-    let instrs = core_u64(&bytes, CORE_INSTRS);
+    let instrs = core_u64(&m, &bytes, "stats.instrs");
     let cycle = m.cycle();
+    let cursor = row_offset(&m, "writes.next");
+    let branch = row_offset(&m, "pending_branch");
+    let (branch_flag, branch_slots) = (branch, branch + 1);
     let crafted = [
         (
             "cursor ahead of the instruction count",
-            reseal(&bytes, *b"WRNG", 0, &(instrs + 5).to_le_bytes()),
+            reseal(&bytes, *b"WRNG", cursor, &(instrs + 5).to_le_bytes()),
         ),
         (
             "cursor behind the instruction count",
-            reseal(&bytes, *b"WRNG", 0, &(instrs - 1).to_le_bytes()),
+            reseal(&bytes, *b"WRNG", cursor, &(instrs - 1).to_le_bytes()),
         ),
         (
             "drained cursor on a running machine",
-            reseal(&bytes, *b"WRNG", 0, &u64::MAX.to_le_bytes()),
+            reseal(&bytes, *b"WRNG", cursor, &u64::MAX.to_le_bytes()),
         ),
         ("pending branch with no slots left", {
-            let flagged = reseal(&bytes, *b"CORE", CORE_BRANCH_FLAG, &[1]).into_bytes();
-            reseal(&flagged, *b"CORE", CORE_BRANCH_SLOTS, &0u32.to_le_bytes())
+            let flagged = reseal(&bytes, *b"CORE", branch_flag, &[1]).into_bytes();
+            reseal(&flagged, *b"CORE", branch_slots, &0u32.to_le_bytes())
         }),
         ("pending branch past the delay slots", {
-            let flagged = reseal(&bytes, *b"CORE", CORE_BRANCH_FLAG, &[1]).into_bytes();
-            reseal(&flagged, *b"CORE", CORE_BRANCH_SLOTS, &6u32.to_le_bytes())
+            let flagged = reseal(&bytes, *b"CORE", branch_flag, &[1]).into_bytes();
+            reseal(&flagged, *b"CORE", branch_slots, &6u32.to_le_bytes())
         }),
         ("instruction count beyond the counter limit", {
             let past = u64::MAX - 8;
-            let counted = reseal(&bytes, *b"CORE", CORE_INSTRS, &past.to_le_bytes()).into_bytes();
-            reseal(&counted, *b"WRNG", 0, &past.to_le_bytes())
+            let instrs_at = row_offset(&m, "stats.instrs");
+            let counted = reseal(&bytes, *b"CORE", instrs_at, &past.to_le_bytes()).into_bytes();
+            reseal(&counted, *b"WRNG", cursor, &past.to_le_bytes())
         }),
         (
             "last progress after the current cycle",
             reseal(
                 &bytes,
                 *b"CORE",
-                CORE_LAST_PROGRESS,
+                row_offset(&m, "last_progress_cycle"),
                 &(cycle + 1).to_le_bytes(),
             ),
         ),
@@ -386,7 +403,211 @@ fn restore_accepts_exactly_the_states_the_engine_produces() {
     }
     // The cursor an exec error leaves (one past the instruction count)
     // is a real state, so a seam snapshot carrying it restores.
-    let ahead = reseal(&bytes, *b"WRNG", 0, &(instrs + 1).to_le_bytes());
+    let ahead = reseal(&bytes, *b"WRNG", cursor, &(instrs + 1).to_le_bytes());
     target.restore(&ahead).unwrap();
     let _ = target.run_with(RunOptions::budget(400)).into_result();
+}
+
+/// The table-driven bound test: for every invariant of the machine's
+/// snapshot table, a checksum-valid snapshot with that row at its bound
+/// restores and runs to a bounded end, and one just past it is refused
+/// as corrupt.
+#[test]
+fn restore_accepts_every_bound_and_refuses_one_past_it() {
+    let (workload, config) = (&registry(1)[0], &MachineConfig::evaluation_suite()[0]);
+    let mut m = build_cell(workload, config, true);
+    let _ = m.run_with(RunOptions::budget(200)).into_result();
+    let before = m.snapshot();
+    let edges = edge_snapshots(&mut m);
+    assert_eq!(
+        m.snapshot(),
+        before,
+        "edge generation leaves the machine as it was"
+    );
+
+    assert_eq!(
+        edges.len(),
+        32,
+        "an at and a past case per bound with a value past it"
+    );
+    let mut rows: Vec<&str> = edges.iter().map(|(e, _)| e.field.as_str()).collect();
+    rows.dedup();
+    assert_eq!(
+        rows,
+        [
+            "ibuf_next",
+            "pending_branch",
+            "watchdog_cycles",
+            "last_progress_cycle",
+            "stats.freq_mhz",
+            "writes.next",
+            "writes",
+            "trace_ring",
+            "mem.dcache.lines",
+            "mem.icache.lines",
+            "mem.prefetch.queue",
+        ]
+    );
+    for (edge, snapshot) in &edges {
+        let mut target = build_cell(workload, config, false);
+        let restored = target.restore(snapshot);
+        if edge.past {
+            assert!(
+                matches!(restored, Err(SnapshotError::Corrupt { .. })),
+                "{edge:?}: must be refused as corrupt, got {restored:?}"
+            );
+        } else {
+            restored.unwrap_or_else(|e| panic!("{edge:?}: refused: {e}"));
+            let budget = target.cycle() + 2_000;
+            let _ = target.run_with(RunOptions::budget(budget).watchdog(1_000));
+            assert!(
+                target.cycle() <= budget + 1_000,
+                "{edge:?}: ran past its budget"
+            );
+        }
+    }
+}
+
+/// Clocks and configuration echoes the engine never produces: each was
+/// accepted before the clock codec and the `watchdog_cycles` and
+/// `stats.freq_mhz` invariants, and each must now be refused as corrupt.
+#[test]
+fn restore_refuses_clocks_and_echoes_the_engine_never_produces() {
+    let (workload, config) = (&registry(1)[0], &MachineConfig::evaluation_suite()[0]);
+    let mut m = build_cell(workload, config, true);
+    let _ = m.run_with(RunOptions::budget(200)).into_result();
+    let bytes = m.snapshot().into_bytes();
+    let probes: [(&str, [u8; 4], &str, [u8; 8]); 7] = [
+        (
+            "write buffer occupancy +inf",
+            *b"MEMS",
+            "mem.cwb_pending",
+            f64::INFINITY.to_le_bytes(),
+        ),
+        (
+            "NaN data stall",
+            *b"MEMS",
+            "mem.stats.data_stall_cycles",
+            f64::NAN.to_le_bytes(),
+        ),
+        (
+            "NaN memory clock",
+            *b"MEMS",
+            "mem.now",
+            f64::NAN.to_le_bytes(),
+        ),
+        (
+            "negative stall",
+            *b"MEMS",
+            "mem.stall",
+            (-5.0f64).to_le_bytes(),
+        ),
+        (
+            "write buffer drained at 1e300",
+            *b"MEMS",
+            "mem.cwb_last",
+            1e300f64.to_le_bytes(),
+        ),
+        (
+            "watchdog of zero cycles",
+            *b"CORE",
+            "watchdog_cycles",
+            0u64.to_le_bytes(),
+        ),
+        (
+            "clock rate other than the configuration's",
+            *b"CORE",
+            "stats.freq_mhz",
+            1.0f64.to_le_bytes(),
+        ),
+    ];
+    let mut target = build_cell(workload, config, false);
+    for (what, tag, row, value) in probes {
+        let probe = reseal(&bytes, tag, row_offset(&m, row), &value);
+        assert!(
+            matches!(target.restore(&probe), Err(SnapshotError::Corrupt { .. })),
+            "{what}: must be refused as corrupt"
+        );
+    }
+}
+
+/// Length and FNV-1a 64 of every pinned snapshot: one per exit kind,
+/// then one per golden kernel on configs A and D at the half-budget seam
+/// of `a_mid_run_snapshot_restores_to_a_bit_identical_completion`.
+const PINNED_SNAPSHOTS: &[(&str, usize, u64)] = &[
+    ("halt", 2222641, 0x5655577b20b8f58e),
+    ("budget seam", 2222641, 0xb8a77cf8f4cd4dda),
+    ("exec error", 70885, 0x19644a6cac7931ba),
+    ("watchdog", 71473, 0xfc4813480b32b272),
+    ("branch in delay slot", 70843, 0xe0a1b39342896324),
+    ("memset on TM3260 (config A)", 2222641, 0xb15e9819a3894e42),
+    ("memset on TM3270 (config D)", 2234161, 0xfbede5301f340c50),
+    ("memcpy on TM3260 (config A)", 2190272, 0x02467426f4e790ee),
+    ("memcpy on TM3270 (config D)", 2201275, 0x0a6ef825d8e46f14),
+    ("filter on TM3260 (config A)", 2195423, 0x7f282d1f538dd4ea),
+    ("filter on TM3270 (config D)", 2206959, 0x68649c3340ca34ef),
+    ("rgb2yuv on TM3260 (config A)", 2719814, 0x9fe2cd57f82a8bdc),
+    ("rgb2yuv on TM3270 (config D)", 2731309, 0xe38c2b9957f7c830),
+    ("rgb2cmyk on TM3260 (config A)", 2982005, 0x125013a117eed9f2),
+    ("rgb2cmyk on TM3270 (config D)", 2993453, 0xd9d294a7e80be355),
+    ("rgb2yiq on TM3260 (config A)", 2758239, 0x797702b41f94566b),
+    ("rgb2yiq on TM3270 (config D)", 2769707, 0xd29a31550aa0ad39),
+    ("mpeg2_a on TM3260 (config A)", 3740809, 0xf9e4a84afd5c7d63),
+    ("mpeg2_a on TM3270 (config D)", 3752319, 0x36b5c756c5e905ec),
+    ("mpeg2_b on TM3260 (config A)", 3740787, 0x07a3c7622060680c),
+    ("mpeg2_b on TM3270 (config D)", 3752322, 0xdae5d97af6f70fcb),
+    ("mpeg2_c on TM3260 (config A)", 3740824, 0xb769e84d117ba5fa),
+    ("mpeg2_c on TM3270 (config D)", 3752319, 0x5b67f7085c10efa3),
+    ("filmdet on TM3260 (config A)", 3378496, 0x1a1f12a714824e9e),
+    ("filmdet on TM3270 (config D)", 3390041, 0x1b91f832395643b1),
+    (
+        "majority_sel on TM3260 (config A)",
+        3902799,
+        0xdd243a1e4ae143b2,
+    ),
+    (
+        "majority_sel on TM3270 (config D)",
+        3914304,
+        0x836ef9d9325a954c,
+    ),
+];
+
+/// Snapshot bytes are part of the behaviour contract: a change to how
+/// state is saved must not move a single byte without a version bump.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let fingerprint = |m: &Machine| {
+        let bytes = m.snapshot().into_bytes();
+        (
+            bytes.len(),
+            tm3270_encode::snapshot::snapshot_checksum(&bytes),
+        )
+    };
+    let mut seen = Vec::new();
+    for (kind, build, budget) in exit_kinds() {
+        let mut m = build();
+        let _ = m.run_with(RunOptions::budget(budget));
+        let (len, sum) = fingerprint(&m);
+        seen.push((kind.to_string(), len, sum));
+    }
+    let [a, _, _, d] = MachineConfig::evaluation_suite();
+    for workload in registry(1).iter().filter(|w| w.is_golden()) {
+        for config in [&a, &d] {
+            let mut full = build_cell(workload, config, true);
+            let cycles = full
+                .run_with(RunOptions::budget(workload.cycle_budget()))
+                .into_result()
+                .unwrap()
+                .cycles;
+            let mut m = build_cell(workload, config, true);
+            let _ = m.run_with(RunOptions::budget(cycles / 2));
+            let (len, sum) = fingerprint(&m);
+            seen.push((format!("{} on {}", workload.name(), config.name), len, sum));
+        }
+    }
+    let pinned: Vec<(String, usize, u64)> = PINNED_SNAPSHOTS
+        .iter()
+        .map(|&(n, l, s)| (n.to_string(), l, s))
+        .collect();
+    assert_eq!(seen, pinned);
 }
