@@ -26,6 +26,9 @@ cargo clippy -q --all-targets -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== cargo doc (rustdoc warnings, e.g. broken intra-doc links, are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 echo "== fault campaign (seed 1, 200 runs) =="
 cargo run --release -q -p tm3270-bench --bin repro_fault_campaign -- --seed 1 --runs 200
 

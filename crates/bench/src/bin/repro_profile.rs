@@ -16,8 +16,8 @@
 //! records a Chrome `trace_event` timeline (requires exactly one
 //! workload) loadable in `chrome://tracing` or Perfetto.
 //!
-//! `--hotspots` records exact per-PC attribution, coalesced into
-//! straight-line blocks at jump-target boundaries (`--top N` sets the
+//! `--hotspots` records exact per-PC attribution, summed over the
+//! program's block spans (`tm3270_encode::superblocks`; `--top N` sets the
 //! table size); `--timeline K` records an interval timeline sampling
 //! every counter each K cycles, exported in the JSON report and as
 //! Chrome counter tracks when combined with `--chrome-trace`.

@@ -8,25 +8,34 @@
 //! the tables and figures report — built for the target machine,
 //! self-verified against the golden reference. The only difference is an
 //! attached [`CounterSink`] (and, on request, a
-//! [`ChromeTraceSink`](tm3270_obs::ChromeTraceSink)).
+//! [`ChromeTraceSink`]).
+//!
+//! Counts the model keeps (cycles, operations, branches, stall totals,
+//! cache hits and misses, prefetches, DRAM totals) are read from
+//! [`Profile::stats`] through the [`tm3270_core::counters`] table; the
+//! sinks add only what needs events: stall buckets, slot and unit
+//! dispatch, evictions, late prefetches, per-kind DRAM traffic, per-PC
+//! attribution and the interval timeline.
 //!
 //! The central invariant is *cycle conservation*: for every profiled
 //! run, the [`StallBuckets`](tm3270_obs::StallBuckets) decomposition
 //! satisfies `issue + ifetch_stall + data_stall + watchdog_idle ==
 //! RunStats.cycles` exactly. [`Profile::check_conservation`] enforces
-//! it; the `repro_profile` binary refuses to report a run that violates
-//! it.
+//! it, and that the sinks' event-derived totals match the model's
+//! counts; the `repro_profile` binary refuses to report a run that
+//! violates either.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::experiments::table3_scale;
+use tm3270_core::counters::{self, *};
 use tm3270_core::{Machine, MachineConfig, RunOptions, RunStats};
 use tm3270_kernels::{Kernel, KernelError, Workload};
 use tm3270_obs::{
-    json, BlockProfile, ChromeTraceSink, CounterSink, FanoutSink, ProfileSink, SinkHandle,
-    TimelineSink, SLOTS,
+    json, BlockProfile, ChromeTraceSink, CounterSink, FanoutSink, PcProfile, ProfileSink,
+    SinkHandle, TimelineSink, SLOTS,
 };
 
 /// Every profileable workload: the eleven Table 5 evaluation kernels
@@ -76,8 +85,8 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Per-PC hot-spot attribution of one run, coalesced into straight-line
-/// blocks (jump-target boundaries from the decoded program).
+/// Per-PC hot-spot attribution of one run, summed over the program's
+/// block spans (`tm3270_encode::superblocks`).
 #[derive(Debug, Clone)]
 pub struct HotspotReport {
     /// Every block with recorded activity, hottest first (ties by start
@@ -95,8 +104,8 @@ pub struct HotspotReport {
 }
 
 /// The result of one profiled run: the simulator's own statistics plus
-/// the event-derived counters, which the reports cross-check against
-/// each other.
+/// the counts only the event stream gives, which the conservation check
+/// holds against each other.
 #[derive(Debug)]
 pub struct Profile {
     /// Workload registry name.
@@ -105,7 +114,9 @@ pub struct Profile {
     pub config_name: &'static str,
     /// The simulator's run statistics.
     pub stats: RunStats,
-    /// The event-derived counters (a snapshot of the attached sink).
+    /// The event-derived counters (a snapshot of the attached sink):
+    /// stall buckets, slot and unit dispatch, evictions, late
+    /// prefetches and per-kind DRAM traffic.
     pub counters: CounterSink,
     /// Per-PC hot-spot attribution, when requested.
     pub hotspots: Option<HotspotReport>,
@@ -115,32 +126,6 @@ pub struct Profile {
     /// Chrome `trace_event` JSON, when requested. Includes the timeline
     /// counter track when both were recorded.
     pub chrome_trace: Option<String>,
-}
-
-/// Builds, traces, runs and verifies `kernel` on `config` with a
-/// [`CounterSink`] attached.
-///
-/// When `chrome` is set the run also records a Chrome `trace_event`
-/// timeline (at the cost of buffering every event). Shorthand for
-/// [`profile_kernel_with`] with default options.
-///
-/// # Errors
-///
-/// See [`KernelError`]; a profiled run is held to the same verification
-/// standard as an untraced one.
-pub fn profile_kernel(
-    kernel: &dyn Kernel,
-    config: &MachineConfig,
-    chrome: bool,
-) -> Result<Profile, KernelError> {
-    profile_kernel_with(
-        kernel,
-        config,
-        &ProfileOptions {
-            chrome,
-            ..ProfileOptions::default()
-        },
-    )
 }
 
 /// Builds, traces, runs and verifies `kernel` on `config`, recording
@@ -158,7 +143,10 @@ pub fn profile_kernel_with(
     let program = kernel.build(&config.issue)?;
     let mut machine = Machine::new(config.clone(), program)?;
     let program_len = machine.program().instrs.len();
-    let jump_targets = machine.program().jump_targets.clone();
+    let spans: Vec<_> = tm3270_encode::superblocks(machine.program())
+        .iter()
+        .map(|b| b.head..b.end)
+        .collect();
 
     let counters = Rc::new(RefCell::new(CounterSink::new()));
     let profile_sink = opts
@@ -171,10 +159,7 @@ pub fn profile_kernel_with(
         .chrome
         .then(|| Rc::new(RefCell::new(ChromeTraceSink::new())));
 
-    let extra = usize::from(profile_sink.is_some())
-        + usize::from(timeline_sink.is_some())
-        + usize::from(chrome_sink.is_some());
-    let handle = if extra == 0 {
+    let handle = if !opts.hotspots && opts.timeline.is_none() && !opts.chrome {
         SinkHandle::from(counters.clone())
     } else {
         let mut fan = FanoutSink::new();
@@ -205,15 +190,8 @@ pub fn profile_kernel_with(
     });
     let hotspots = profile_sink.map(|ps| {
         let ps = ps.borrow();
-        let mut blocks = ps.blocks(&jump_targets);
-        blocks.sort_by(|a, b| {
-            b.profile
-                .cycles()
-                .cmp(&a.profile.cycles())
-                .then(a.start.cmp(&b.start))
-        });
         HotspotReport {
-            blocks,
+            blocks: ps.hotspots(&spans, usize::MAX),
             top: opts.top,
             total_cycles: ps.total_cycles(),
             watchdog_idle: ps.watchdog_idle(),
@@ -234,92 +212,76 @@ pub fn profile_kernel_with(
 
 impl Profile {
     /// Checks cycle conservation: the stall buckets must decompose
-    /// `RunStats.cycles` exactly, and the event-derived issue/stall
-    /// counts must agree with the simulator's own statistics.
+    /// `RunStats.cycles` exactly, and every total the sinks derive from
+    /// events must equal the model's own count — the counter sink's
+    /// issue, stall, op and DRAM counts, the hot-spot per-PC cycles and
+    /// cache misses, and every timeline total.
     ///
     /// # Errors
     ///
     /// Returns a description of the first discrepancy.
     pub fn check_conservation(&self) -> Result<(), String> {
         let b = self.counters.buckets();
-        if b.total() != self.stats.cycles {
-            return Err(format!(
-                "{}: buckets {} + {} + {} + {} = {} != {} cycles",
-                self.workload,
-                b.issue,
-                b.ifetch_stall,
-                b.data_stall,
-                b.watchdog_idle,
-                b.total(),
-                self.stats.cycles
-            ));
-        }
-        let checks = [
-            ("issue", b.issue + b.watchdog_idle, self.stats.instrs),
-            ("ifetch", b.ifetch_stall, self.stats.ifetch_stall_cycles),
-            ("data", b.data_stall, self.stats.data_stall_cycles),
-            ("ops", self.counters.ops_dispatched(), self.stats.ops),
-            (
-                "exec_ops",
-                self.counters.ops_executed(),
-                self.stats.exec_ops,
-            ),
+        let st = &self.stats;
+        let mem = &st.mem;
+        let (dram_transfers, dram_bytes) = (self.counters.dram().values())
+            .fold((0, 0), |(t, n), d| (t + d.transactions, n + d.bytes));
+        let mut checks = vec![
+            ("stall-bucket total", b.total(), st.cycles),
+            ("traced issue", b.issue + b.watchdog_idle, st.instrs),
+            ("traced ifetch", b.ifetch_stall, st.ifetch_stall_cycles),
+            ("traced data", b.data_stall, st.data_stall_cycles),
+            ("traced ops", self.counters.ops_dispatched(), st.ops),
+            ("traced exec_ops", self.counters.ops_executed(), st.exec_ops),
+            ("counter dram transfers", dram_transfers, mem.dram.transfers),
+            ("counter dram bytes", dram_bytes, mem.dram.bytes),
         ];
-        for (what, traced, stats) in checks {
-            if traced != stats {
-                return Err(format!(
-                    "{}: traced {what} {traced} != RunStats {stats}",
-                    self.workload
-                ));
-            }
-        }
         if let Some(hs) = &self.hotspots {
-            if hs.total_cycles != self.stats.cycles {
-                return Err(format!(
-                    "{}: hot-spot per-PC cycles {} != {} cycles",
-                    self.workload, hs.total_cycles, self.stats.cycles
-                ));
-            }
-            let block_sum: u64 = hs.blocks.iter().map(|b| b.profile.cycles()).sum();
-            if block_sum != hs.total_cycles {
-                return Err(format!(
-                    "{}: hot-spot block cycles {} != per-PC cycles {}",
-                    self.workload, block_sum, hs.total_cycles
-                ));
-            }
+            let sum = |f: fn(&PcProfile) -> u64| hs.blocks.iter().map(|b| f(&b.profile)).sum();
+            checks.extend([
+                ("hot-spot per-PC cycles", hs.total_cycles, st.cycles),
+                ("hot-spot block cycles", sum(PcProfile::cycles), st.cycles),
+                (
+                    "hot-spot dcache misses",
+                    sum(|p| p.dcache_misses),
+                    mem.dcache.misses,
+                ),
+                (
+                    "hot-spot icache misses",
+                    sum(|p| p.icache_misses),
+                    mem.icache.misses,
+                ),
+            ]);
         }
         if let Some(tl) = &self.timeline {
             let t = tl.totals();
-            let deltas = [
-                ("issue", t.issue, b.issue + b.watchdog_idle),
-                ("ifetch_stall", t.ifetch_stall, b.ifetch_stall),
-                ("data_stall", t.data_stall, b.data_stall),
-                ("ops_executed", t.ops_executed, self.stats.exec_ops),
+            checks.extend([
+                ("timeline issue", t.issue, b.issue + b.watchdog_idle),
+                ("timeline ifetch_stall", t.ifetch_stall, b.ifetch_stall),
+                ("timeline data_stall", t.data_stall, b.data_stall),
+                ("timeline ops_executed", t.ops_executed, st.exec_ops),
+                ("timeline dcache_hits", t.dcache_hits, mem.dcache.hits),
+                ("timeline dcache_misses", t.dcache_misses, mem.dcache.misses),
+                ("timeline icache_misses", t.icache_misses, mem.icache.misses),
                 (
-                    "dcache_misses",
-                    t.dcache_misses,
-                    self.counters.dcache.misses,
+                    "timeline prefetch_issued",
+                    t.prefetch_issued,
+                    mem.prefetch.issued,
                 ),
-                (
-                    "icache_misses",
-                    t.icache_misses,
-                    self.counters.icache.misses,
-                ),
-                ("events", t.events, self.counters.events),
-            ];
-            for (what, timeline, total) in deltas {
-                if timeline != total {
-                    return Err(format!(
-                        "{}: timeline {what} deltas sum to {timeline} != final total {total}",
-                        self.workload
-                    ));
-                }
+                ("timeline dram_bytes", t.dram_bytes, mem.dram.bytes),
+                ("timeline events", t.events, self.counters.events),
+            ]);
+        }
+        for (what, derived, expected) in checks {
+            if derived != expected {
+                return Err(format!("{}: {what} {derived} != {expected}", self.workload));
             }
         }
         Ok(())
     }
 
-    /// Formats the human-readable profile report.
+    /// Formats the human-readable profile report: the model's counters
+    /// ([`RunStats::report`]), then the counts that come from events.
     pub fn report(&self) -> String {
         let b = self.counters.buckets();
         let total = b.total().max(1) as f64;
@@ -330,15 +292,7 @@ impl Profile {
             "=== profile: {} on {} ===",
             self.workload, self.config_name
         );
-        let _ = writeln!(
-            s,
-            "cycles {:>12}   instrs {:>12}   CPI {:.3}   OPI {:.3}   time {:.1} us",
-            self.stats.cycles,
-            self.stats.instrs,
-            self.stats.cpi(),
-            self.stats.opi(),
-            self.stats.time_us()
-        );
+        s.push_str(&self.stats.report());
         let _ = writeln!(s, "stall attribution ({} cycles):", b.total());
         let rows = [
             ("issue", b.issue),
@@ -372,29 +326,18 @@ impl Profile {
                 u.dispatched, u.executed
             );
         }
-        let d = &self.counters.dcache;
-        let _ = writeln!(
-            s,
-            "dcache: {} hits, {} partial, {} misses, {} evictions ({} B copied back), \
-             {} refill merges",
-            d.hits,
-            d.partial_hits,
-            d.misses,
-            d.evictions,
-            d.copyback_bytes,
-            self.stats.mem.dcache.refill_merges
-        );
-        let i = &self.counters.icache;
-        let _ = writeln!(s, "icache: {} hits, {} misses", i.hits, i.misses);
-        if self.counters.prefetch_issued > 0 {
+        for (name, c) in [
+            ("dcache", &self.counters.dcache),
+            ("icache", &self.counters.icache),
+        ] {
             let _ = writeln!(
                 s,
-                "prefetch: {} issued, {} hits, {} late ({:.0} wait cycles)",
-                self.counters.prefetch_issued,
-                d.prefetch_hits,
-                self.counters.prefetch_late,
-                self.counters.prefetch_late_wait
+                "{name} evictions: {} ({} B copied back)",
+                c.evictions, c.copyback_bytes
             );
+        }
+        if self.counters.prefetch_late > 0 {
+            let _ = writeln!(s, "prefetch: {} late", self.counters.prefetch_late);
         }
         for (kind, dc) in self.counters.dram() {
             let _ = writeln!(
@@ -403,11 +346,6 @@ impl Profile {
                 dc.transactions, dc.bytes
             );
         }
-        let _ = writeln!(
-            s,
-            "branches: {} resolved, {} taken",
-            self.counters.branches_resolved, self.counters.branches_taken
-        );
         if let Some(hs) = &self.hotspots {
             let shown = hs.top.min(hs.blocks.len());
             let _ = writeln!(
@@ -466,20 +404,12 @@ impl Profile {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"workload\":{},\"config\":{},",
+        let st = &self.stats;
+        let mut s = format!(
+            "{{\"workload\":{},\"config\":{},{},",
             json::string(self.workload),
-            json::string(self.config_name)
-        );
-        let _ = write!(
-            s,
-            "\"cycles\":{},\"instrs\":{},\"cpi\":{},\"opi\":{},",
-            self.stats.cycles,
-            self.stats.instrs,
-            json::number(self.stats.cpi()),
-            json::number(self.stats.opi())
+            json::string(self.config_name),
+            counters::json_fields(st, &[CYCLES, INSTRS, CPI, OPI])
         );
         let _ = write!(
             s,
@@ -511,35 +441,37 @@ impl Profile {
             })
             .collect();
         let _ = write!(s, "\"units\":{{{}}},", units.join(","));
-        // `refill_merges` is not event-derived: it comes from the
-        // simulator's own `CacheStats` snapshot (there is no trace event
-        // for the merge path, which has no timing consequence).
-        for (name, c, merges) in [
+        // Evictions and their copyback bytes come from events; the rest
+        // are the model's counts.
+        for (name, head, tail, c) in [
             (
                 "dcache",
+                [DCACHE_HITS, DCACHE_PARTIAL_HITS, DCACHE_MISSES],
+                [DCACHE_PREFETCH_HITS, DCACHE_REFILL_MERGES],
                 &self.counters.dcache,
-                self.stats.mem.dcache.refill_merges,
             ),
             (
                 "icache",
+                [ICACHE_HITS, ICACHE_PARTIAL_HITS, ICACHE_MISSES],
+                [ICACHE_PREFETCH_HITS, ICACHE_REFILL_MERGES],
                 &self.counters.icache,
-                self.stats.mem.icache.refill_merges,
             ),
         ] {
             let _ = write!(
                 s,
-                "\"{name}\":{{\"hits\":{},\"partial_hits\":{},\"misses\":{},\
-                 \"evictions\":{},\"copyback_bytes\":{},\"prefetch_hits\":{},\
-                 \"refill_merges\":{merges}}},",
-                c.hits, c.partial_hits, c.misses, c.evictions, c.copyback_bytes, c.prefetch_hits
+                "\"{name}\":{{{},\"evictions\":{},\"copyback_bytes\":{},{}}},",
+                counters::json_nested(st, &head),
+                c.evictions,
+                c.copyback_bytes,
+                counters::json_nested(st, &tail)
             );
         }
         let _ = write!(
             s,
-            "\"prefetch\":{{\"issued\":{},\"late\":{},\"late_wait_cycles\":{}}},",
-            self.counters.prefetch_issued,
+            "\"prefetch\":{{{},\"late\":{},{}}},",
+            counters::json_nested(st, &[PREFETCH_ISSUED]),
             self.counters.prefetch_late,
-            json::number(self.counters.prefetch_late_wait)
+            counters::json_nested(st, &[PREFETCH_WAIT])
         );
         let dram: Vec<String> = self
             .counters
@@ -557,10 +489,8 @@ impl Profile {
         let _ = write!(s, "\"dram\":{{{}}},", dram.join(","));
         let _ = write!(
             s,
-            "\"branches\":{{\"resolved\":{},\"taken\":{}}},\
-             \"watchdog_fired\":{},\"events\":{}",
-            self.counters.branches_resolved,
-            self.counters.branches_taken,
+            "\"branches\":{{{}}},\"watchdog_fired\":{},\"events\":{}",
+            counters::json_nested(st, &[BRANCHES, TAKEN_BRANCHES]),
             self.counters.watchdog_fired,
             self.counters.events
         );
@@ -624,7 +554,8 @@ mod tests {
     fn profiled_memset_conserves_cycles() {
         let kernel = find_workload("memset").unwrap();
         let config = MachineConfig::tm3270();
-        let p = profile_kernel(kernel.as_ref(), &config, false).expect("memset profiles");
+        let p = profile_kernel_with(kernel.as_ref(), &config, &ProfileOptions::default())
+            .expect("memset profiles");
         p.check_conservation().expect("conservation");
         assert!(p.counters.events > 0);
         let json = p.to_json();
@@ -635,11 +566,18 @@ mod tests {
         assert!(report.contains("stall attribution"), "{report}");
     }
 
+    const CHROME: ProfileOptions = ProfileOptions {
+        chrome: true,
+        hotspots: false,
+        top: 10,
+        timeline: None,
+    };
+
     #[test]
     fn chrome_trace_capture_is_optional_and_valid() {
         let kernel = find_workload("filmdet").unwrap();
         let config = MachineConfig::tm3270();
-        let p = profile_kernel(kernel.as_ref(), &config, true).expect("filmdet profiles");
+        let p = profile_kernel_with(kernel.as_ref(), &config, &CHROME).expect("filmdet profiles");
         let trace = p.chrome_trace.as_deref().expect("trace requested");
         assert!(trace.starts_with("{\"traceEvents\":[") && trace.ends_with("]}"));
         assert!(trace.contains("\"ph\":\"M\""));

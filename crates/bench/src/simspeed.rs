@@ -18,6 +18,7 @@
 
 use std::time::Instant;
 
+use tm3270_core::counters::{CYCLES, INSTRS};
 use tm3270_core::{Machine, MachineConfig, RunOptions};
 use tm3270_kernels::{Kernel, KernelError};
 use tm3270_obs::json;
@@ -158,11 +159,13 @@ pub fn speed_json(config: &MachineConfig, rows: &[SpeedRow]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"workload\":{},\"instrs\":{},\"cycles\":{},\
+                "{{\"workload\":{},\"{}\":{},\"{}\":{},\
                  \"wall_ms\":{},\"sim_mips\":{},\"sim_mcps\":{},\
                  \"mem_calls\":{}}}",
                 json::string(&r.workload),
+                INSTRS.key,
                 r.instrs,
+                CYCLES.key,
                 r.cycles,
                 json::number(r.wall_s * 1e3),
                 json::number(r.sim_mips()),
@@ -174,11 +177,13 @@ pub fn speed_json(config: &MachineConfig, rows: &[SpeedRow]) -> String {
     let total = SpeedTotal::of(rows);
     format!(
         "{{\"bench\":\"sim_speed\",\"config\":{},\"rows\":[{}],\
-         \"total\":{{\"instrs\":{},\"cycles\":{},\"wall_ms\":{},\
+         \"total\":{{\"{}\":{},\"{}\":{},\"wall_ms\":{},\
          \"sim_mips\":{},\"sim_mcps\":{},\"geomean_sim_mips\":{}}}}}",
         json::string(config.name),
         body.join(","),
+        INSTRS.key,
         total.instrs,
+        CYCLES.key,
         total.cycles,
         json::number(total.wall_s * 1e3),
         json::number(total.sim_mips()),

@@ -13,7 +13,9 @@
 //!   exposed latencies and jump delay slots;
 //! * [`RunStats`] — cycles, CPI, OPI (the quantities the paper's power
 //!   and performance sections report), stall breakdowns and the complete
-//!   memory-system statistics.
+//!   memory-system statistics;
+//! * [`counters`] — the one table of those counters, with the JSON and
+//!   text renderers every document uses.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+pub mod counters;
 mod pipeline;
 mod report;
 mod snapshot;

@@ -849,8 +849,8 @@ impl Machine {
     /// Reads `buf.len()` bytes of flat data memory at `addr` into `buf`
     /// without allocating — the golden-checksum verification paths call
     /// this once per probe, so sweeps pay no per-probe heap traffic.
-    /// Addresses wrap at the flat-memory boundary, like [`read_data`]
-    /// (Machine::read_data).
+    /// Addresses wrap at the flat-memory boundary, like
+    /// [`read_data`](Machine::read_data).
     pub fn read_data_into(&self, addr: u32, buf: &mut [u8]) {
         self.mem.flat().read_into(addr, buf);
     }

@@ -1,8 +1,10 @@
 //! Human-readable run reports and crash-report rendering.
 
+use crate::counters::COUNTERS;
 use crate::pipeline::{RunStats, SimError, TraceRecord};
 use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
+use tm3270_obs::json;
 
 /// A post-mortem snapshot taken when a run ends in a [`SimError`].
 ///
@@ -76,82 +78,33 @@ impl std::fmt::Display for CrashReport {
 }
 
 impl RunStats {
-    /// Formats a multi-line report of the run: issue statistics, stall
-    /// breakdown, cache and prefetch behaviour, DRAM traffic.
-    ///
-    /// # Examples
+    /// Formats the run as a clock line, then one line per counter of
+    /// [`COUNTERS`]: key, value, unit and meaning.
     ///
     /// ```
-    /// # use tm3270_asm::ProgramBuilder;
-    /// # use tm3270_core::{Machine, MachineConfig};
-    /// # use tm3270_isa::{Op, Reg};
+    /// # use tm3270_core::{Machine, MachineConfig, RunOptions};
     /// # let config = MachineConfig::tm3270();
-    /// # let mut b = ProgramBuilder::new(config.issue);
-    /// # b.op(Op::imm(Reg::new(2), 1));
-    /// # let mut m = Machine::new(config, b.build().unwrap()).unwrap();
-    /// let stats = m
-    ///     .run_with(tm3270_core::RunOptions::budget(1_000_000))
-    ///     .into_result()?;
-    /// println!("{}", stats.report());
-    /// # Ok::<(), tm3270_core::SimError>(())
+    /// # let mut b = tm3270_asm::ProgramBuilder::new(config.issue);
+    /// # b.op(tm3270_isa::Op::imm(tm3270_isa::Reg::new(2), 1));
+    /// let mut m = Machine::new(config, b.build()?)?;
+    /// let stats = m.run_with(RunOptions::budget(1_000_000)).into_result()?;
+    /// assert!(stats.report().starts_with("clock"));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn report(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "cycles {:>12}   instrs {:>12}   time {:>10.1} us @ {} MHz",
-            self.cycles,
-            self.instrs,
-            self.time_us(),
-            self.freq_mhz
-        );
-        let _ = writeln!(
-            s,
-            "CPI {:>8.3}   OPI {:>8.3}   ops {} ({} executed)",
-            self.cpi(),
-            self.opi(),
-            self.ops,
-            self.exec_ops
-        );
-        let _ = writeln!(
-            s,
-            "branches {} ({} taken)   stalls: ifetch {} / data {}",
-            self.branches, self.taken_branches, self.ifetch_stall_cycles, self.data_stall_cycles
-        );
-        let d = &self.mem.dcache;
-        let _ = writeln!(
-            s,
-            "dcache: {} hits, {} partial, {} misses, {} fills, {} allocs, {} copybacks ({} B)",
-            d.hits, d.partial_hits, d.misses, d.fills, d.allocations, d.copybacks, d.copyback_bytes
-        );
-        let i = &self.mem.icache;
-        let _ = writeln!(
-            s,
-            "icache: {} hits, {} misses ({} chunk fetches)",
-            i.hits, i.misses, self.mem.mem.ifetches
-        );
-        let p = &self.mem.prefetch;
-        if p.issued > 0 {
-            let _ = writeln!(
-                s,
-                "prefetch: {} issued, {} hits, {} filtered, {} dropped",
-                p.issued, d.prefetch_hits, p.filtered, p.dropped
-            );
+        let _ = writeln!(s, "clock {} MHz", json::number(self.freq_mhz));
+        for c in COUNTERS {
+            let v = c.text(self);
+            let _ = writeln!(s, "{:<22} {v:>14} {:<12} {}", c.key, c.unit, c.meaning);
         }
-        let _ = writeln!(
-            s,
-            "dram: {} transfers ({} demand), {} bytes, {:.0} busy cycles",
-            self.mem.dram.transfers,
-            self.mem.dram.demand_transfers,
-            self.mem.dram.bytes,
-            self.mem.dram.busy_cpu_cycles
-        );
         s
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::counters::COUNTERS;
     use crate::{Machine, MachineConfig};
     use tm3270_asm::ProgramBuilder;
     use tm3270_isa::{Op, Opcode, Reg};
@@ -168,7 +121,12 @@ mod tests {
             .into_result()
             .unwrap();
         let report = stats.report();
-        for needle in ["cycles", "CPI", "dcache", "icache", "dram"] {
+        assert_eq!(
+            report.lines().count(),
+            1 + COUNTERS.len(),
+            "a clock line and one line per counter"
+        );
+        for needle in ["MHz", "cycles", "cpi", "dcache", "icache", "dram"] {
             assert!(report.contains(needle), "missing {needle}: {report}");
         }
     }

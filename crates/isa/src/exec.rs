@@ -350,8 +350,7 @@ impl FlatMemory {
         }
     }
 
-    /// Fixed-width write at `addr` (see [`read_fixed`]
-    /// (FlatMemory::read_fixed)).
+    /// Fixed-width write at `addr` (see [`read_fixed`](Self::read_fixed)).
     #[inline]
     pub fn write_fixed<const N: usize>(&mut self, addr: u32, data: [u8; N]) {
         let a = (addr & self.mask) as usize;

@@ -1,21 +1,15 @@
 //! [`CounterSink`]: utilization histograms and stall attribution.
+//!
+//! The sink keeps only counts no model statistic holds: stall buckets
+//! and episodes, slot and unit dispatch, evictions, late prefetches,
+//! per-kind DRAM traffic, watchdog firings and fault flips. Cache hits,
+//! prefetches issued and branches are `RunStats` counts, so the sink
+//! binds to [`CounterSink::READS`] and a run it observes alone does not
+//! build those events.
 
-use crate::event::{CacheId, CacheOutcome, MemTxKind, StallCause, TraceEvent};
+use crate::event::{CacheId, EventKinds, MemTxKind, StallCause, TraceEvent};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
-
-/// Stable dense index for a DRAM transaction kind (the order of
-/// [`MemTxKind::all`]).
-fn dram_index(kind: MemTxKind) -> usize {
-    match kind {
-        MemTxKind::DemandFill => 0,
-        MemTxKind::WriteFetch => 1,
-        MemTxKind::Copyback => 2,
-        MemTxKind::Prefetch => 3,
-        MemTxKind::IFetch => 4,
-        MemTxKind::CacheControl => 5,
-    }
-}
 
 /// Number of issue slots tracked (the TM3270 issues 5 operations per
 /// VLIW instruction; wider slots are clamped to the last bin).
@@ -53,7 +47,7 @@ impl StallBuckets {
 }
 
 /// Dispatch counts for one functional unit.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitCount {
     /// Operations dispatched to the unit (guard true or false).
     pub dispatched: u64,
@@ -61,25 +55,18 @@ pub struct UnitCount {
     pub executed: u64,
 }
 
-/// Aggregate counters for one cache array.
-#[derive(Debug, Clone, Copy, Default)]
+/// Eviction counters for one cache array. The model's own copyback
+/// count also includes `dflush` write-backs, which emit no eviction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounts {
-    /// Full hits.
-    pub hits: u64,
-    /// Partial hits (line present, some requested bytes invalid).
-    pub partial_hits: u64,
-    /// Misses.
-    pub misses: u64,
     /// Evictions.
     pub evictions: u64,
     /// Dirty bytes copied back by evictions.
     pub copyback_bytes: u64,
-    /// Demand accesses that consumed a prefetched line.
-    pub prefetch_hits: u64,
 }
 
 /// Aggregate counters for one DRAM transaction kind.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramCount {
     /// Transactions scheduled.
     pub transactions: u64,
@@ -105,33 +92,39 @@ pub struct CounterSink {
     pub ifetch_stalls: u64,
     /// Data-side stall episodes (not cycles; see buckets).
     pub data_stalls: u64,
-    /// Data-cache counters.
+    /// Data-cache evictions.
     pub dcache: CacheCounts,
-    /// Instruction-cache counters.
+    /// Instruction-cache evictions.
     pub icache: CacheCounts,
-    /// Prefetch requests issued to the DRAM channel.
-    pub prefetch_issued: u64,
-    /// Demand accesses that had to wait on an in-flight prefetch.
+    /// Demand accesses that had to wait on an in-flight prefetch (the
+    /// model keeps only the cycles they waited).
     pub prefetch_late: u64,
-    /// Total cycles demand accesses waited on late prefetches.
-    pub prefetch_late_wait: f64,
-    /// Per-kind DRAM transaction counters, densely indexed by
-    /// [`dram_index`]; read the name-keyed view through
-    /// [`CounterSink::dram`].
+    /// Per-kind DRAM transaction counters, indexed by the kind's
+    /// declaration order (that of [`MemTxKind::all`]); read the
+    /// name-keyed view through [`CounterSink::dram`].
     dram_counts: [DramCount; 6],
-    /// Branch operations resolved.
-    pub branches_resolved: u64,
-    /// Branches resolved taken.
-    pub branches_taken: u64,
     /// Livelock-watchdog firings (0 or 1 per run).
     pub watchdog_fired: u64,
     /// Fault-injection bit flips observed.
     pub fault_flips: u64,
-    /// Total events consumed.
+    /// Total events delivered to the sink. Bound alone, it is delivered
+    /// only the kinds in [`CounterSink::READS`]; inside a
+    /// [`FanoutSink`](crate::FanoutSink) it may be delivered more.
     pub events: u64,
 }
 
 impl CounterSink {
+    /// The event kinds the sink reads, returned by its
+    /// [`TraceSink::bind`].
+    pub const READS: EventKinds = EventKinds::INSTR_ISSUE
+        .union(EventKinds::OP_DISPATCH)
+        .union(EventKinds::STALL_END)
+        .union(EventKinds::CACHE_EVICT)
+        .union(EventKinds::PREFETCH_LATE)
+        .union(EventKinds::DRAM_TRANSACTION)
+        .union(EventKinds::WATCHDOG_FIRED)
+        .union(EventKinds::FAULT_FLIP);
+
     /// A fresh, all-zero counter sink.
     pub fn new() -> CounterSink {
         CounterSink::default()
@@ -152,7 +145,7 @@ impl CounterSink {
     pub fn dram(&self) -> BTreeMap<&'static str, DramCount> {
         MemTxKind::all()
             .iter()
-            .map(|&k| (k.name(), self.dram_counts[dram_index(k)]))
+            .map(|&k| (k.name(), self.dram_counts[k as usize]))
             .filter(|(_, d)| d.transactions > 0)
             .collect()
     }
@@ -162,17 +155,12 @@ impl CounterSink {
         // Pointer equality first: dispatch sites always pass the same
         // interned `&'static str` per unit, so the common case is a
         // short scan of pointer compares.
-        let pos = self
-            .unit_counts
-            .iter()
-            .position(|&(name, _)| std::ptr::eq(name, unit) || name == unit);
-        let i = match pos {
-            Some(i) => i,
-            None => {
+        let i = (self.unit_counts.iter())
+            .position(|&(name, _)| std::ptr::eq(name, unit) || name == unit)
+            .unwrap_or_else(|| {
                 self.unit_counts.push((unit, UnitCount::default()));
                 self.unit_counts.len() - 1
-            }
-        };
+            });
         &mut self.unit_counts[i].1
     }
 
@@ -184,15 +172,6 @@ impl CounterSink {
     /// Total operations executed (guard true; sum over slots).
     pub fn ops_executed(&self) -> u64 {
         self.executed_per_slot.iter().sum()
-    }
-
-    /// Executed operations per issued instruction (the paper's
-    /// "operations per cycle" when the pipeline never stalls).
-    pub fn ops_per_instr(&self) -> f64 {
-        if self.buckets.issue + self.buckets.watchdog_idle == 0 {
-            return 0.0;
-        }
-        self.ops_executed() as f64 / (self.buckets.issue + self.buckets.watchdog_idle) as f64
     }
 }
 
@@ -218,7 +197,6 @@ impl TraceSink for CounterSink {
                     u.executed += 1;
                 }
             }
-            TraceEvent::StallBegin { .. } => {}
             TraceEvent::StallEnd { cause, cycles, .. } => match cause {
                 StallCause::IFetch => {
                     self.ifetch_stalls += 1;
@@ -229,25 +207,6 @@ impl TraceSink for CounterSink {
                     self.buckets.data_stall += cycles;
                 }
             },
-            TraceEvent::CacheAccess {
-                cache,
-                outcome,
-                prefetch_hit,
-                ..
-            } => {
-                let c = match cache {
-                    CacheId::Data => &mut self.dcache,
-                    CacheId::Instr => &mut self.icache,
-                };
-                match outcome {
-                    CacheOutcome::Hit => c.hits += 1,
-                    CacheOutcome::PartialHit => c.partial_hits += 1,
-                    CacheOutcome::Miss => c.misses += 1,
-                }
-                if prefetch_hit {
-                    c.prefetch_hits += 1;
-                }
-            }
             TraceEvent::CacheEvict {
                 cache,
                 copyback_bytes,
@@ -260,21 +219,11 @@ impl TraceSink for CounterSink {
                 c.evictions += 1;
                 c.copyback_bytes += copyback_bytes as u64;
             }
-            TraceEvent::PrefetchIssue { .. } => self.prefetch_issued += 1,
-            TraceEvent::PrefetchLate { wait, .. } => {
-                self.prefetch_late += 1;
-                self.prefetch_late_wait += wait;
-            }
+            TraceEvent::PrefetchLate { .. } => self.prefetch_late += 1,
             TraceEvent::DramTransaction { kind, bytes, .. } => {
-                let d = &mut self.dram_counts[dram_index(kind)];
+                let d = &mut self.dram_counts[kind as usize];
                 d.transactions += 1;
                 d.bytes += bytes as u64;
-            }
-            TraceEvent::BranchResolve { taken, .. } => {
-                self.branches_resolved += 1;
-                if taken {
-                    self.branches_taken += 1;
-                }
             }
             TraceEvent::WatchdogFired { idle, .. } => {
                 self.watchdog_fired += 1;
@@ -285,7 +234,13 @@ impl TraceSink for CounterSink {
                 self.buckets.watchdog_idle += moved;
             }
             TraceEvent::FaultFlip { .. } => self.fault_flips += 1,
+            _ => {}
         }
+    }
+
+    /// Reads [`CounterSink::READS`]; the op table is not needed.
+    fn bind(&mut self, _ops_per_instr: &[u8]) -> EventKinds {
+        CounterSink::READS
     }
 }
 
@@ -375,16 +330,22 @@ mod tests {
     }
 
     #[test]
+    fn binds_to_the_kinds_the_model_does_not_count() {
+        let mut c = CounterSink::new();
+        assert_eq!(c.bind(&[4, 2]), CounterSink::READS);
+        for model_counted in [
+            EventKinds::CACHE_ACCESS,
+            EventKinds::PREFETCH_ISSUE,
+            EventKinds::BRANCH_RESOLVE,
+            EventKinds::STALL_BEGIN,
+        ] {
+            assert!(!CounterSink::READS.intersects(model_counted));
+        }
+    }
+
+    #[test]
     fn memory_counters() {
         let mut c = CounterSink::new();
-        c.event(&TraceEvent::CacheAccess {
-            cycle: 1.0,
-            cache: CacheId::Data,
-            addr: 0x100,
-            outcome: CacheOutcome::Miss,
-            prefetch_hit: false,
-            pc: 0,
-        });
         c.event(&TraceEvent::CacheEvict {
             cycle: 1.0,
             cache: CacheId::Data,
@@ -397,7 +358,6 @@ mod tests {
             bytes: 128,
             completion: 9.0,
         });
-        assert_eq!(c.dcache.misses, 1);
         assert_eq!(c.dcache.evictions, 1);
         assert_eq!(c.dcache.copyback_bytes, 64);
         let dram = c.dram();

@@ -19,7 +19,9 @@
 //! * [`CounterSink`] — per-issue-slot and per-functional-unit
 //!   utilization histograms plus a stall-attribution breakdown
 //!   ([`StallBuckets`]) that exactly decomposes a run's total cycles
-//!   into issue + ifetch-stall + data-stall + watchdog-idle;
+//!   into issue + ifetch-stall + data-stall + watchdog-idle, with the
+//!   other counts only events give (evictions, late prefetches,
+//!   per-kind DRAM traffic);
 //! * [`ProfileSink`] — the same decomposition bucketed *per VLIW
 //!   instruction address*, coalesced into straight-line blocks for
 //!   top-N hot-spot reports with the same conservation guarantee;
@@ -47,10 +49,12 @@
 //! staging it, and the simulator and memory system skip building the
 //! per-op and cache-access events no bound sink reads
 //! ([`SinkHandle::wants`]). [`ProfileSink`] reads four kinds, so a run
-//! profiled by it alone builds about two events per instruction; every
-//! other built-in sink reads every kind, and a [`FanoutSink`] reads the
-//! union of its children. A handle that is never bound delivers
-//! everything.
+//! profiled by it alone builds about two events per instruction;
+//! [`CounterSink`] reads the eight kinds it counts; the other built-in
+//! sinks read every kind, and a [`FanoutSink`] reads the union of its
+//! children. A handle that is never bound delivers everything.
+//! Counts the model keeps exactly (cache hits, branches, DRAM totals…)
+//! live in `tm3270_core::RunStats`; sinks count only what needs events.
 //!
 //! # Examples
 //!

@@ -11,10 +11,11 @@
 //! [`StallBuckets::total`](crate::StallBuckets::total) does in
 //! aggregate.
 //!
-//! For reporting, adjacent PCs are coalesced into straight-line blocks
-//! bounded by the program's jump targets
-//! ([`ProfileSink::blocks`] / [`ProfileSink::hotspots`]); the sums are
-//! preserved, so the top-N report inherits the conservation guarantee.
+//! For reporting, the per-PC table is summed over the program's block
+//! spans (the partition `tm3270_encode::superblocks` computes, cut at
+//! every jump target) by [`ProfileSink::blocks`] /
+//! [`ProfileSink::hotspots`]; the sums are preserved, so the top-N
+//! report inherits the conservation guarantee.
 //!
 //! The sink reads four event kinds ([`ProfileSink::READS`]). Operation
 //! counts come from `InstrIssue` and the per-instruction op table the
@@ -23,6 +24,7 @@
 
 use crate::event::{CacheId, CacheOutcome, EventKinds, StallCause, TraceEvent};
 use crate::sink::TraceSink;
+use std::ops::Range;
 
 /// Cycle and activity attribution for one VLIW instruction address.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -152,46 +154,28 @@ impl ProfileSink {
         self.events
     }
 
-    /// Coalesces the per-PC table into straight-line blocks. A block
-    /// boundary sits before PC 0 and before every jump target in
-    /// `jump_targets` (the decoded program's `Program::jump_targets`);
+    /// Sums the per-PC table over `spans`, the program's block
+    /// partition (sorted, covering `0..program length`; the spans of
+    /// `tm3270_encode::superblocks`). Entries past the program end,
+    /// possible on fault-corrupted programs, fold into the last span;
     /// blocks with no recorded activity are omitted. Block sums preserve
-    /// the per-PC sums, so conservation carries over.
-    pub fn blocks(&self, jump_targets: &[usize]) -> Vec<BlockProfile> {
+    /// the per-PC sums, so conservation carries over. (An empty program
+    /// has no spans and issues nothing.)
+    pub fn blocks(&self, spans: &[Range<usize>]) -> Vec<BlockProfile> {
         let len = self.per_pc.len();
-        let mut boundary = vec![false; len];
-        for &t in jump_targets {
-            if t < len {
-                boundary[t] = true;
-            }
-        }
         let mut blocks = Vec::new();
-        let mut cur: Option<BlockProfile> = None;
-        for (pc, p) in self.per_pc.iter().enumerate() {
-            if boundary[pc] {
-                if let Some(b) = cur.take() {
-                    if !b.profile.is_zero() {
-                        blocks.push(b);
-                    }
-                }
-            }
-            match &mut cur {
-                Some(b) => {
-                    b.end = pc + 1;
-                    b.profile.add(p);
-                }
-                None => {
-                    cur = Some(BlockProfile {
-                        start: pc,
-                        end: pc + 1,
-                        profile: *p,
-                    });
-                }
-            }
-        }
-        if let Some(b) = cur {
-            if !b.profile.is_zero() {
-                blocks.push(b);
+        for (i, span) in spans.iter().enumerate() {
+            let last = i + 1 == spans.len();
+            let end = if last { len } else { span.end.min(len) };
+            let start = span.start.min(end);
+            let mut profile = PcProfile::default();
+            self.per_pc[start..end].iter().for_each(|p| profile.add(p));
+            if !profile.is_zero() {
+                blocks.push(BlockProfile {
+                    start,
+                    end,
+                    profile,
+                });
             }
         }
         blocks
@@ -199,8 +183,8 @@ impl ProfileSink {
 
     /// The top `n` blocks by attributed cycles (ties broken by start
     /// PC for determinism), hottest first.
-    pub fn hotspots(&self, jump_targets: &[usize], n: usize) -> Vec<BlockProfile> {
-        let mut blocks = self.blocks(jump_targets);
+    pub fn hotspots(&self, spans: &[Range<usize>], n: usize) -> Vec<BlockProfile> {
+        let mut blocks = self.blocks(spans);
         blocks.sort_by(|a, b| {
             b.profile
                 .cycles()
@@ -322,14 +306,26 @@ mod tests {
         for pc in 0..6 {
             p.event(&issue(pc as u64, pc));
         }
-        // Jump targets at 2 and 4 → blocks [0,2) [2,4) [4,6).
-        let blocks = p.blocks(&[2, 4]);
+        // Jump targets at 2 and 4 → spans [0,2) [2,4) [4,6).
+        let blocks = p.blocks(&[0..2, 2..4, 4..6]);
         assert_eq!(
             blocks.iter().map(|b| (b.start, b.end)).collect::<Vec<_>>(),
             vec![(0, 2), (2, 4), (4, 6)]
         );
         let total: u64 = blocks.iter().map(|b| b.profile.cycles()).sum();
         assert_eq!(total, p.total_cycles());
+    }
+
+    #[test]
+    fn pcs_past_the_program_end_fold_into_the_last_span() {
+        let mut p = ProfileSink::new(4);
+        p.event(&issue(0, 1));
+        p.event(&issue(1, 9));
+        let blocks = p.blocks(&[0..2, 2..4]);
+        assert_eq!(
+            blocks.iter().map(|b| (b.start, b.end)).collect::<Vec<_>>(),
+            vec![(0, 2), (2, 10)]
+        );
     }
 
     #[test]
@@ -341,12 +337,13 @@ mod tests {
         }
         p.event(&issue(0, 4));
         p.event(&issue(1, 5));
-        let hot = p.hotspots(&[2, 4], 10);
+        let spans = [0..2, 2..4, 4..6];
+        let hot = p.hotspots(&spans, 10);
         assert_eq!(hot.len(), 2, "cold block omitted");
         assert_eq!((hot[0].start, hot[0].end), (2, 4));
         assert_eq!(hot[0].profile.cycles(), 5);
         assert_eq!((hot[1].start, hot[1].end), (4, 6));
-        let top1 = p.hotspots(&[2, 4], 1);
+        let top1 = p.hotspots(&spans, 1);
         assert_eq!(top1.len(), 1);
     }
 

@@ -46,5 +46,7 @@ pub mod wire;
 
 pub use client::{Client, ClientError, LoadReply, RunReply};
 pub use server::{ServeReport, Server, ServerConfig, ShutdownHandle};
-pub use session::{config_named, Inspect, LoadInfo, RunStatus, Session, SessionError, StepReport};
+pub use session::{
+    config_named, Inspect, LoadInfo, RunStatus, Session, SessionError, StepReport, MAX_READ_BYTES,
+};
 pub use wire::{Request, RequestOp, WireError};

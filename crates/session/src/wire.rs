@@ -27,6 +27,7 @@
 
 use std::io::{self, Read, Write};
 
+use tm3270_core::counters::{self, *};
 use tm3270_core::RunStats;
 use tm3270_obs::json;
 
@@ -392,27 +393,23 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
     Ok(Request { id, op })
 }
 
-/// Renders [`RunStats`] as the wire's flat `stats` object. Field
-/// numbers are integers except `time_us` (formatted with
-/// [`json::number`], like every JSON document in this workspace).
+/// Renders [`RunStats`] as the wire's flat `stats` object: a selection
+/// of the [`counters`] table.
 pub fn stats_json(stats: &RunStats) -> String {
-    format!(
-        "{{\"cycles\":{},\"instrs\":{},\"ops\":{},\"exec_ops\":{},\
-         \"branches\":{},\"taken_branches\":{},\"ifetch_stall\":{},\
-         \"data_stall\":{},\"dcache_misses\":{},\"dram_bytes\":{},\
-         \"time_us\":{}}}",
-        stats.cycles,
-        stats.instrs,
-        stats.ops,
-        stats.exec_ops,
-        stats.branches,
-        stats.taken_branches,
-        stats.ifetch_stall_cycles,
-        stats.data_stall_cycles,
-        stats.mem.dcache.misses,
-        stats.mem.dram.bytes,
-        json::number(stats.time_us())
-    )
+    let rows = [
+        CYCLES,
+        INSTRS,
+        OPS,
+        EXEC_OPS,
+        BRANCHES,
+        TAKEN_BRANCHES,
+        IFETCH_STALL,
+        DATA_STALL,
+        DCACHE_MISSES,
+        DRAM_BYTES,
+        TIME_US,
+    ];
+    format!("{{{}}}", counters::json_fields(stats, &rows))
 }
 
 /// Renders one evaluation-suite cell — the exact row format of the
@@ -420,20 +417,21 @@ pub fn stats_json(stats: &RunStats) -> String {
 /// the server's run responses both emit rows through this function, so
 /// a remotely-served suite byte-diffs cleanly against the serial one.
 pub fn cell_json(kernel: &str, config: &str, stats: &RunStats) -> String {
+    let rows = [
+        CYCLES,
+        INSTRS,
+        OPS,
+        IFETCH_STALL,
+        DATA_STALL,
+        DCACHE_MISSES,
+        DRAM_BYTES,
+        TIME_US,
+    ];
     format!(
-        "{{\"kernel\":{},\"config\":{},\"cycles\":{},\"instrs\":{},\
-         \"ops\":{},\"ifetch_stall\":{},\"data_stall\":{},\
-         \"dcache_misses\":{},\"dram_bytes\":{},\"time_us\":{}}}",
+        "{{\"kernel\":{},\"config\":{},{}}}",
         json::string(kernel),
         json::string(config),
-        stats.cycles,
-        stats.instrs,
-        stats.ops,
-        stats.ifetch_stall_cycles,
-        stats.data_stall_cycles,
-        stats.mem.dcache.misses,
-        stats.mem.dram.bytes,
-        json::number(stats.time_us())
+        counters::json_fields(stats, &rows)
     )
 }
 

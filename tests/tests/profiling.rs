@@ -7,75 +7,27 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tm3270_asm::ProgramBuilder;
-use tm3270_bench::profile::{
-    find_workload, golden_names, profile_kernel, profile_kernel_with, ProfileOptions,
-};
+use tm3270_bench::profile::{find_workload, golden_names, profile_kernel_with, ProfileOptions};
 use tm3270_core::{Machine, MachineConfig, RunOptions, SimError};
 use tm3270_fault::{FaultInjector, FaultSite};
 use tm3270_obs::{
-    CounterSink, EventKinds, FanoutSink, ProfileSink, RingSink, SinkHandle, TimelineSink,
+    CounterSink, EventKinds, FanoutSink, NullSink, ProfileSink, RingSink, SinkHandle, TimelineSink,
     TraceEvent, TraceSink,
 };
 
 /// The acceptance criterion of the observability layer: on every golden
 /// kernel, the counter sink's stall buckets decompose `RunStats.cycles`
-/// exactly (issue + ifetch-stall + data-stall + watchdog-idle), and the
-/// event-derived cache counters agree with the memory system's own
-/// statistics.
+/// exactly (issue + ifetch-stall + data-stall + watchdog-idle), and its
+/// issue, stall and op counts equal the model's.
 #[test]
 fn golden_kernels_conserve_cycles() {
     let config = MachineConfig::tm3270();
     for name in golden_names() {
         let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
-        let p = profile_kernel(kernel.as_ref(), &config, false)
+        let p = profile_kernel_with(kernel.as_ref(), &config, &ProfileOptions::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         p.check_conservation()
             .unwrap_or_else(|e| panic!("conservation: {e}"));
-
-        // The event stream must reconstruct the cache statistics the
-        // memory system keeps independently.
-        let mem = &p.stats.mem;
-        assert_eq!(
-            p.counters.dcache.hits, mem.dcache.hits,
-            "{name} dcache hits"
-        );
-        assert_eq!(
-            p.counters.dcache.partial_hits, mem.dcache.partial_hits,
-            "{name} dcache partial hits"
-        );
-        assert_eq!(
-            p.counters.dcache.misses, mem.dcache.misses,
-            "{name} dcache misses"
-        );
-        assert_eq!(
-            p.counters.dcache.prefetch_hits, mem.dcache.prefetch_hits,
-            "{name} prefetch hits"
-        );
-        assert_eq!(
-            p.counters.icache.hits, mem.icache.hits,
-            "{name} icache hits"
-        );
-        assert_eq!(
-            p.counters.icache.misses, mem.icache.misses,
-            "{name} icache misses"
-        );
-        assert_eq!(
-            p.counters.prefetch_issued, mem.prefetch.issued,
-            "{name} prefetches issued"
-        );
-        assert_eq!(
-            p.counters.branches_resolved, p.stats.branches,
-            "{name} branches"
-        );
-        assert_eq!(
-            p.counters.branches_taken, p.stats.taken_branches,
-            "{name} taken branches"
-        );
-        let dram = p.counters.dram();
-        let dram_tx: u64 = dram.values().map(|d| d.transactions).sum();
-        assert_eq!(dram_tx, mem.dram.transfers, "{name} dram transfers");
-        let dram_bytes: u64 = dram.values().map(|d| d.bytes).sum();
-        assert_eq!(dram_bytes, mem.dram.bytes, "{name} dram bytes");
     }
 }
 
@@ -86,17 +38,32 @@ fn golden_kernels_conserve_cycles() {
 fn conservation_holds_across_configs() {
     let kernel = find_workload("filter").expect("filter in registry");
     for config in MachineConfig::evaluation_suite() {
-        let p = profile_kernel(kernel.as_ref(), &config, false)
+        let p = profile_kernel_with(kernel.as_ref(), &config, &ProfileOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", config.name));
         p.check_conservation()
             .unwrap_or_else(|e| panic!("{}: {e}", config.name));
     }
 }
 
-/// Tentpole acceptance: per-PC hot-spot buckets sum to
-/// `RunStats.cycles` exactly, and timeline interval deltas sum to the
-/// final counter totals, on all eleven golden kernels under both the
-/// cheapest (A) and the full (D) machine configurations.
+/// The golden kernels on configs A and D, plus `upconv_opt_pf` on D,
+/// which exercises the prefetcher.
+fn golden_cells_and_prefetch() -> Vec<(MachineConfig, &'static str)> {
+    let mut cells = Vec::new();
+    for config in [MachineConfig::config_a(), MachineConfig::config_d()] {
+        for name in golden_names() {
+            cells.push((config.clone(), name));
+        }
+    }
+    cells.push((MachineConfig::config_d(), "upconv_opt_pf"));
+    cells
+}
+
+/// Per-PC hot-spot buckets sum to `RunStats.cycles` exactly, timeline
+/// interval deltas sum to the final counter totals, and every
+/// event-derived total (per-PC cache misses; timeline cache hits and
+/// misses, prefetches issued, DRAM bytes) equals the model's own count,
+/// on the golden kernels under both the cheapest (A) and the full (D)
+/// machine configurations and on a prefetching kernel.
 #[test]
 fn hotspot_and_timeline_conservation_on_golden_kernels() {
     let opts = ProfileOptions {
@@ -104,41 +71,86 @@ fn hotspot_and_timeline_conservation_on_golden_kernels() {
         timeline: Some(1000),
         ..ProfileOptions::default()
     };
+    let mut prefetched = 0;
+    for (config, name) in golden_cells_and_prefetch() {
+        let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
+        let p = profile_kernel_with(kernel.as_ref(), &config, &opts)
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", config.name));
+        // check_conservation covers both guarantees; assert the raw
+        // sums too so a future regression names the exact quantity.
+        p.check_conservation()
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", config.name));
+        let hs = p.hotspots.as_ref().expect("hotspots requested");
+        let block_sum: u64 = hs.blocks.iter().map(|b| b.profile.cycles()).sum();
+        assert_eq!(
+            block_sum, p.stats.cycles,
+            "{name} on {}: block cycles must equal RunStats.cycles",
+            config.name
+        );
+        let tl = p.timeline.as_ref().expect("timeline requested");
+        let totals = tl.totals();
+        let b = p.counters.buckets();
+        assert_eq!(
+            totals.issue,
+            b.issue + b.watchdog_idle,
+            "{name} on {}: timeline issue deltas",
+            config.name
+        );
+        assert_eq!(
+            totals.ifetch_stall + totals.data_stall,
+            b.ifetch_stall + b.data_stall,
+            "{name} on {}: timeline stall deltas",
+            config.name
+        );
+        assert_eq!(
+            totals.events, p.counters.events,
+            "{name} on {}: every event lands in exactly one sample",
+            config.name
+        );
+        prefetched += totals.prefetch_issued;
+    }
+    assert!(prefetched > 0, "no cell exercised the prefetcher");
+}
+
+/// The counts [`CounterSink`] keeps need events. Bound alone it reads
+/// only [`CounterSink::READS`]; inside a fan-out with a
+/// [`TimelineSink`] it is delivered every kind. Both give the same
+/// counts on every golden kernel on configs A and D.
+#[test]
+fn counter_sink_alone_and_in_a_fanout_count_alike() {
+    let with_timeline = ProfileOptions {
+        timeline: Some(1000),
+        ..ProfileOptions::default()
+    };
     for config in [MachineConfig::config_a(), MachineConfig::config_d()] {
         for name in golden_names() {
             let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
-            let p = profile_kernel_with(kernel.as_ref(), &config, &opts)
-                .unwrap_or_else(|e| panic!("{name} on {}: {e}", config.name));
-            // check_conservation covers both guarantees; assert the raw
-            // sums too so a future regression names the exact quantity.
-            p.check_conservation()
-                .unwrap_or_else(|e| panic!("{name} on {}: {e}", config.name));
-            let hs = p.hotspots.as_ref().expect("hotspots requested");
-            let block_sum: u64 = hs.blocks.iter().map(|b| b.profile.cycles()).sum();
+            let cell = format!("{name} on {}", config.name);
+            let alone = profile_kernel_with(kernel.as_ref(), &config, &ProfileOptions::default())
+                .unwrap_or_else(|e| panic!("{cell}: {e}"))
+                .counters;
+            let full = profile_kernel_with(kernel.as_ref(), &config, &with_timeline)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"))
+                .counters;
+            assert_eq!(alone.buckets(), full.buckets(), "{cell}: buckets");
             assert_eq!(
-                block_sum, p.stats.cycles,
-                "{name} on {}: block cycles must equal RunStats.cycles",
-                config.name
+                (alone.ifetch_stalls, alone.data_stalls),
+                (full.ifetch_stalls, full.data_stalls),
+                "{cell}: stall episodes"
             );
-            let tl = p.timeline.as_ref().expect("timeline requested");
-            let totals = tl.totals();
-            let b = p.counters.buckets();
+            assert_eq!(alone.ops_per_slot, full.ops_per_slot, "{cell}: slots");
             assert_eq!(
-                totals.issue,
-                b.issue + b.watchdog_idle,
-                "{name} on {}: timeline issue deltas",
-                config.name
+                alone.executed_per_slot, full.executed_per_slot,
+                "{cell}: executed slots"
             );
-            assert_eq!(
-                totals.ifetch_stall + totals.data_stall,
-                b.ifetch_stall + b.data_stall,
-                "{name} on {}: timeline stall deltas",
-                config.name
-            );
-            assert_eq!(
-                totals.events, p.counters.events,
-                "{name} on {}: every event lands in exactly one sample",
-                config.name
+            assert_eq!(alone.units(), full.units(), "{cell}: units");
+            assert_eq!(alone.dcache, full.dcache, "{cell}: dcache evictions");
+            assert_eq!(alone.icache, full.icache, "{cell}: icache evictions");
+            assert_eq!(alone.prefetch_late, full.prefetch_late, "{cell}: late");
+            assert_eq!(alone.dram(), full.dram(), "{cell}: dram");
+            assert!(
+                alone.events < full.events,
+                "{cell}: the bound stream is shorter"
             );
         }
     }
@@ -184,7 +196,10 @@ fn watchdog_abort_conserves_hotspots_and_timeline() {
     let top = b.bind_here();
     b.jump(top);
     let mut m = Machine::new(config, b.build().unwrap()).unwrap();
-    let jump_targets = m.program().jump_targets.clone();
+    let spans: Vec<_> = tm3270_encode::superblocks(m.program())
+        .iter()
+        .map(|b| b.head..b.end)
+        .collect();
     let profile = Rc::new(RefCell::new(ProfileSink::new(m.program().instrs.len())));
     let timeline = Rc::new(RefCell::new(TimelineSink::new(100)));
     let mut fan = FanoutSink::new();
@@ -205,11 +220,7 @@ fn watchdog_abort_conserves_hotspots_and_timeline() {
     );
     assert!(ps.watchdog_idle() > 0, "idle window recorded");
     assert!(ps.watchdog_pc().is_some(), "abort PC recorded");
-    let block_sum: u64 = ps
-        .blocks(&jump_targets)
-        .iter()
-        .map(|b| b.profile.cycles())
-        .sum();
+    let block_sum: u64 = ps.blocks(&spans).iter().map(|b| b.profile.cycles()).sum();
     assert_eq!(block_sum, report.cycle, "block coalescing preserves sums");
 
     let totals = timeline.borrow().totals();
@@ -225,9 +236,9 @@ fn watchdog_abort_conserves_hotspots_and_timeline() {
 enum Attach {
     /// Alone: bound to its own four kinds, so the run is filtered.
     Alone,
-    /// Inside a fan-out with a [`CounterSink`], so it receives every
-    /// event.
-    WithCounter,
+    /// Inside a fan-out with a [`NullSink`], which reads every kind, so
+    /// it receives every event.
+    Full,
 }
 
 /// Runs `m` (fresh, set up) with a [`ProfileSink`] attached as `attach`
@@ -238,9 +249,9 @@ fn profile_run(mut m: Machine, budget: u64, attach: Attach) -> (ProfileSink, u64
     let profile = Rc::new(RefCell::new(ProfileSink::new(m.program().instrs.len())));
     match attach {
         Attach::Alone => m.attach_sink(SinkHandle::from(profile.clone())),
-        Attach::WithCounter => {
+        Attach::Full => {
             let mut fan = FanoutSink::new();
-            fan.push(Rc::new(RefCell::new(CounterSink::new())));
+            fan.push(Rc::new(RefCell::new(NullSink)));
             fan.push(profile.clone());
             m.attach_sink(SinkHandle::from(Rc::new(RefCell::new(fan))));
         }
@@ -260,7 +271,7 @@ fn profile_run(mut m: Machine, budget: u64, attach: Attach) -> (ProfileSink, u64
 /// event streams give one profile, which conserves cycles and ops.
 fn profile_both_ways(what: &str, make: impl Fn() -> Machine, budget: u64) {
     let (alone, cycles, (ops, exec_ops)) = profile_run(make(), budget, Attach::Alone);
-    let (full, full_cycles, _) = profile_run(make(), budget, Attach::WithCounter);
+    let (full, full_cycles, _) = profile_run(make(), budget, Attach::Full);
     assert_eq!(cycles, full_cycles, "{what}: the sink changed the run");
     assert_eq!(
         alone.per_pc(),
@@ -336,25 +347,63 @@ impl TraceSink for IssueOnly {
     }
 }
 
-/// `Machine::attach_sink` binds the sink: one bound to `InstrIssue`
-/// alone receives exactly one event per issued instruction and no other
-/// kind, on a kernel with loads, stores, stalls and branches.
-#[test]
-fn attached_sink_receives_only_the_kinds_it_reads() {
+/// Splits the full event stream into the kinds [`CounterSink`] reads
+/// and the rest; reads every kind.
+#[derive(Default)]
+struct CounterKinds {
+    read: u64,
+    unread: u64,
+}
+
+impl TraceSink for CounterKinds {
+    fn event(&mut self, event: &TraceEvent) {
+        if CounterSink::READS.contains(event.kind_bit()) {
+            self.read += 1;
+        } else {
+            self.unread += 1;
+        }
+    }
+}
+
+/// Runs `filter` on config D with `sink` attached alone.
+fn run_filter_with(sink: Rc<RefCell<dyn TraceSink>>) -> tm3270_core::RunStats {
     let config = MachineConfig::config_d();
     let kernel = find_workload("filter").expect("filter in registry");
     let mut m = Machine::new(config.clone(), kernel.build(&config.issue).unwrap()).unwrap();
-    let sink = Rc::new(RefCell::new(IssueOnly::default()));
-    m.attach_sink(SinkHandle::from(sink.clone()));
+    m.attach_sink(SinkHandle::new(sink));
     kernel.setup(&mut m);
-    let stats = m
-        .run_with(RunOptions::budget(kernel.cycle_budget()))
+    m.run_with(RunOptions::budget(kernel.cycle_budget()))
         .into_result()
-        .unwrap();
+        .unwrap()
+}
+
+/// `Machine::attach_sink` binds the sink: one bound to `InstrIssue`
+/// alone receives exactly one event per issued instruction and no other
+/// kind, on a kernel with loads, stores, stalls and branches. A bound
+/// [`CounterSink`] alone receives exactly the events of its own kinds.
+#[test]
+fn attached_sink_receives_only_the_kinds_it_reads() {
+    let sink = Rc::new(RefCell::new(IssueOnly::default()));
+    let stats = run_filter_with(sink.clone());
     let s = sink.borrow();
     assert_eq!(s.issues, stats.instrs);
     assert_eq!(s.others, 0, "no other kind reaches the sink");
     assert!(stats.branches > 0 && stats.data_stall_cycles + stats.ifetch_stall_cycles > 0);
+
+    let kinds = Rc::new(RefCell::new(CounterKinds::default()));
+    run_filter_with(kinds.clone());
+    let counter = Rc::new(RefCell::new(CounterSink::new()));
+    run_filter_with(counter.clone());
+    let kinds = kinds.borrow();
+    assert!(
+        kinds.unread > 0,
+        "the full stream has kinds the counter skips"
+    );
+    assert_eq!(
+        counter.borrow().events,
+        kinds.read,
+        "the counter receives its kinds and no other"
+    );
 }
 
 /// Minimal JSON well-formedness checker (the repo carries no
@@ -556,7 +605,15 @@ fn chrome_trace_is_wellformed_and_balanced() {
 
     let kernel = find_workload("memset").expect("memset in registry");
     let config = MachineConfig::tm3270();
-    let p = profile_kernel(kernel.as_ref(), &config, true).expect("memset profiles");
+    let p = profile_kernel_with(
+        kernel.as_ref(),
+        &config,
+        &ProfileOptions {
+            chrome: true,
+            ..ProfileOptions::default()
+        },
+    )
+    .expect("memset profiles");
     let trace = p.chrome_trace.as_deref().expect("trace requested");
 
     let doc = Parser::parse(trace).expect("well-formed JSON");

@@ -284,10 +284,9 @@ fn sink_attached_run_stays_fused_bit_identically() {
         assert_eq!(traced_stats, fused_stats, "{cell}: stats diverged");
         assert_eq!(traced.reg_digest(), fused.reg_digest(), "{cell}: digest");
 
-        // The event stream must be complete:
-        // the cycle-bucket decomposition covers every simulated cycle,
-        // per-slot dispatch counts sum to the op totals, and the branch
-        // counters match the run statistics.
+        // The event stream must be complete: the cycle-bucket
+        // decomposition covers every simulated cycle and per-slot
+        // dispatch counts sum to the op totals.
         let c = counters.borrow();
         assert!(c.events > 0, "{cell}: no events emitted");
         assert_eq!(
@@ -299,14 +298,6 @@ fn sink_attached_run_stays_fused_bit_identically() {
         let exec: u64 = c.executed_per_slot.iter().sum();
         assert_eq!(ops, traced_stats.ops, "{cell}: per-slot op counts");
         assert_eq!(exec, traced_stats.exec_ops, "{cell}: per-slot exec counts");
-        assert_eq!(
-            c.branches_resolved, traced_stats.branches,
-            "{cell}: branches"
-        );
-        assert_eq!(
-            c.branches_taken, traced_stats.taken_branches,
-            "{cell}: taken branches"
-        );
     }
 }
 
