@@ -14,6 +14,9 @@ cargo test -q --workspace
 echo "== cargo test --release (every isa test target: results must not depend on the build profile) =="
 cargo test --release -q -p tm3270-isa
 
+echo "== cargo test --release (memory-model tick arithmetic and every pinned count, as benchmarked) =="
+cargo test --release -q -p tm3270-mem -p tm3270-kernels
+
 echo "== cargo test --release (traced engine and profiling, as benchmarked) =="
 cargo test --release -q --test profiling --test superblock_engine
 

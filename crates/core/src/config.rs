@@ -55,7 +55,7 @@ impl MachineConfig {
     /// small cache.
     pub fn config_b() -> MachineConfig {
         let mut mem = MemConfig::tm3270();
-        mem.cpu_freq_mhz = 240.0;
+        mem.cpu_freq_mhz = 240;
         mem.dcache = CacheGeometry {
             size: 16 * 1024,
             line: 128,
@@ -73,7 +73,7 @@ impl MachineConfig {
     pub fn config_c() -> MachineConfig {
         let mut cfg = MachineConfig::config_b();
         cfg.name = "TM3270 core, 16KB D$ @ 350 MHz (config C)";
-        cfg.mem.cpu_freq_mhz = 350.0;
+        cfg.mem.cpu_freq_mhz = 350;
         cfg
     }
 
@@ -98,7 +98,7 @@ impl MachineConfig {
     }
 
     /// The CPU clock in MHz.
-    pub fn freq_mhz(&self) -> f64 {
+    pub fn freq_mhz(&self) -> u32 {
         self.mem.cpu_freq_mhz
     }
 }
@@ -108,9 +108,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_snapshot_clock_fits_in_ticks() {
+        // The memory model's tick is `now × cycle_ticks + stall`, with
+        // `now` and `stall` each restorable up to the count limit.
+        use tm3270_encode::snapshot::SNAPSHOT_COUNT_LIMIT as LIMIT;
+        for c in MachineConfig::evaluation_suite() {
+            let ticks = c.mem.dram.cycle_ticks();
+            assert_eq!(ticks, 1600, "{}", c.name);
+            let most = LIMIT.checked_mul(ticks).and_then(|t| t.checked_add(LIMIT));
+            assert!(most.is_some(), "{}: the largest tick overflows", c.name);
+        }
+    }
+
+    #[test]
     fn config_a_matches_table6_tm3260() {
         let a = MachineConfig::config_a();
-        assert_eq!(a.freq_mhz(), 240.0);
+        assert_eq!(a.freq_mhz(), 240);
         assert_eq!(a.issue.load_latency, 3);
         assert_eq!(a.issue.loads_per_instr, 2);
         assert_eq!(a.issue.jump_delay_slots, 3);
@@ -123,7 +136,7 @@ mod tests {
     #[test]
     fn config_d_matches_table1_tm3270() {
         let d = MachineConfig::config_d();
-        assert_eq!(d.freq_mhz(), 350.0);
+        assert_eq!(d.freq_mhz(), 350);
         assert_eq!(d.issue.load_latency, 4);
         assert_eq!(d.issue.loads_per_instr, 1);
         assert_eq!(d.issue.jump_delay_slots, 5);
@@ -141,8 +154,8 @@ mod tests {
         let c = MachineConfig::config_c();
         assert_eq!(b.mem.dcache.size, 16 * 1024);
         assert_eq!(b.mem.dcache.line, 128, "TM3270 line size retained");
-        assert_eq!(b.freq_mhz(), 240.0);
-        assert_eq!(c.freq_mhz(), 350.0);
+        assert_eq!(b.freq_mhz(), 240);
+        assert_eq!(c.freq_mhz(), 350);
         assert_eq!(b.issue, IssueModel::tm3270());
         assert_eq!(b.mem.dcache, c.mem.dcache);
     }

@@ -3,6 +3,8 @@
 //! of spelling keys, and [`RunStats::report`] prints them all. Values go
 //! through [`json::number`]; counts stay below 2^53 (the snapshot table
 //! refuses more), so the `f64` an accessor returns holds them exactly.
+//! The two memory-model time totals are ticks rendered as cycles
+//! ([`FullStats::cycles`](tm3270_mem::FullStats::cycles)).
 
 use crate::pipeline::RunStats;
 use tm3270_obs::json;
@@ -137,9 +139,9 @@ counters! {
     DRAM_BYTES: "dram_bytes", "", "bytes", "Bytes over the DRAM channel.",
         |s| s.mem.dram.bytes;
     DRAM_BUSY: "dram_busy_cycles", "", "cycles", "DRAM channel busy time.",
-        |s| s.mem.dram.busy_cpu_cycles;
+        |s| s.mem.cycles(s.mem.dram.busy_ticks);
     PREFETCH_WAIT: "prefetch_wait_cycles", "late_wait_cycles", "cycles",
-        "Waits on in-flight prefetches.", |s| s.mem.mem.prefetch_wait_cycles;
+        "Waits on in-flight prefetches.", |s| s.mem.cycles(s.mem.mem.prefetch_wait_ticks);
     TIME_US: "time_us", "", "us", "Time at the configured clock.", Ratio |s| s.time_us();
     CPI: "cpi", "", "cycles/instr", "Cycles per VLIW instruction.", Ratio |s| s.cpi();
     OPI: "opi", "", "ops/instr", "Executed operations per VLIW instruction.",

@@ -12,7 +12,7 @@
 use crate::config::MachineConfig;
 use crate::snapshot::Snapshot;
 use tm3270_encode::snapshot::{
-    Array, Bounded, Codec, Count, List, Nested, Opt, RawF64, State, U32, U64, U8,
+    Array, Bounded, Codec, Count, List, Nested, Opt, State, U32, U64, U8,
 };
 use tm3270_encode::{
     decode_program_detailed, encode_program, DecodeFault, EncodedProgram, SectionReader,
@@ -237,7 +237,7 @@ pub struct RunStats {
     /// Cycles lost to data-side stalls.
     pub data_stall_cycles: u64,
     /// CPU clock in MHz, for wall-clock conversions.
-    pub freq_mhz: f64,
+    pub freq_mhz: u32,
     /// Memory-system statistics snapshot at the end of the run.
     pub mem: FullStats,
 }
@@ -256,7 +256,7 @@ impl RunStats {
 
     /// Wall-clock execution time in microseconds at the configured clock.
     pub fn time_us(&self) -> f64 {
-        self.cycles as f64 / self.freq_mhz
+        self.cycles as f64 / f64::from(self.freq_mhz)
     }
 }
 
@@ -750,6 +750,7 @@ impl Machine {
     ) -> Machine {
         let mem = MemorySystem::new(config.mem.clone());
         let freq = config.freq_mhz();
+        let mem_stats = mem.stats();
         debug_assert!(
             (config.issue.max_latency() as usize) < WRITE_RING,
             "writeback ring too small for the issue model"
@@ -780,7 +781,7 @@ impl Machine {
                 ifetch_stall_cycles: 0,
                 data_stall_cycles: 0,
                 freq_mhz: freq,
-                mem: FullStats::default(),
+                mem: mem_stats,
             },
             watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
             last_progress_cycle: 0,
@@ -1545,8 +1546,7 @@ tm3270_encode::snapshot_table! {
         (stats.taken_branches): Count,
         (stats.ifetch_stall_cycles): Count,
         (stats.data_stall_cycles): Count,
-        (stats.freq_mhz): RawF64
-            where [m.config.freq_mhz().to_bits(), m.config.freq_mhz().to_bits()],
+        (stats.freq_mhz): U32 where [m.config.freq_mhz().into(), m.config.freq_mhz().into()],
         (stats.mem): Nested,
         b"REGS": Section,
         regs: Array<U32>,

@@ -4,7 +4,6 @@ use crate::counters::COUNTERS;
 use crate::pipeline::{RunStats, SimError, TraceRecord};
 use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
-use tm3270_obs::json;
 
 /// A post-mortem snapshot taken when a run ends in a [`SimError`].
 ///
@@ -93,7 +92,7 @@ impl RunStats {
     /// ```
     pub fn report(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "clock {} MHz", json::number(self.freq_mhz));
+        let _ = writeln!(s, "clock {} MHz", self.freq_mhz);
         for c in COUNTERS {
             let v = c.text(self);
             let _ = writeln!(s, "{:<22} {v:>14} {:<12} {}", c.key, c.unit, c.meaning);

@@ -9,12 +9,11 @@
 //! +--------+---------+------------------------------------+----------+
 //! ```
 //!
-//! All integers are little-endian; `f64` state travels as raw IEEE-754
-//! bits so restore is bit-exact. The trailing checksum is FNV-1a 64 over
-//! everything before it, so corruption is detected up front, before any
-//! section is interpreted. Decoding never panics: every failure mode —
-//! truncation, a version from the future, flipped bits — is a typed
-//! [`SnapshotError`].
+//! All state travels as little-endian integers, so restore is bit-exact.
+//! The trailing checksum is FNV-1a 64 over everything before it, so
+//! corruption is detected up front, before any section is interpreted.
+//! Decoding never panics: every failure mode — truncation, a version
+//! from the future, flipped bits — is a typed [`SnapshotError`].
 //!
 //! What goes inside the sections is declared once per struct, in a
 //! [`snapshot_table!`](crate::snapshot_table): one row per saved field,
@@ -38,15 +37,16 @@ use tm3270_isa::{FlatMemory, Reg, RegFile};
 /// Magic bytes identifying a machine snapshot blob.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TM3S";
 
-/// The largest counter or cycle time a snapshot may carry: 2^53, up to
-/// which an `f64` clock still counts every cycle. No run gets near it,
-/// and a `u64` counter restored at or below it has more than 2^63
-/// increments left before it could overflow.
+/// The largest counter, cycle or tick time a snapshot may carry: 2^53.
+/// No run gets near it, a `u64` counter restored at or below it has more
+/// than 2^63 increments left before it could overflow, and a cycle at or
+/// below it converts to memory-model ticks in a `u64` at any rate under
+/// 2^11 ticks per cycle (1600 on every configuration).
 pub const SNAPSHOT_COUNT_LIMIT: u64 = 1 << 53;
 
 /// Current snapshot format version. Bump on any layout change of any
 /// section; readers reject every other version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Typed failures of snapshot decoding. Decoding never panics; arbitrary
 /// bytes degrade into one of these.
@@ -389,13 +389,9 @@ markers! {
     U32;
     /// A little-endian `u64`; a `usize` must fit the host's address space.
     U64;
-    /// An event counter or cycle count: a `u64` of at most
+    /// An event counter, a cycle or a tick time: a `u64` of at most
     /// [`SNAPSHOT_COUNT_LIMIT`].
     Count;
-    /// A cycle time: an `f64` in `0..=SNAPSHOT_COUNT_LIMIT`, so never NaN.
-    Clock;
-    /// An `f64` as its raw IEEE-754 bits, whatever its value.
-    RawF64;
     /// Booleans in one byte, the first in bit 0; other bits must be clear.
     Flags;
     /// A flat memory up to its last non-zero byte: its size, the stored
@@ -438,8 +434,6 @@ scalars! {
     U32: u32;
     U64: u64;
     Count: u64 where |v| v <= SNAPSHOT_COUNT_LIMIT, "counter out of range";
-    Clock: f64 where |v| (0.0..=SNAPSHOT_COUNT_LIMIT as f64).contains(&v), "clock out of range";
-    RawF64: f64;
 }
 
 fn corrupt(what: &'static str) -> SnapshotError {
@@ -669,7 +663,6 @@ pub struct Edge {
 }
 
 /// A row value an invariant bounds, measured as a `u64`: an integer, an
-/// `f64` by its bit pattern (which orders non-negative values), an
 /// optional pair by its first element, or a list by its length.
 pub trait Bounded: Clone {
     /// The measure, or `None` for an absent value, which meets any bound.
@@ -700,16 +693,6 @@ macro_rules! integers {
 }
 
 integers!(u32, u64, usize);
-
-impl Bounded for f64 {
-    fn measure(&self) -> Option<u64> {
-        Some(self.to_bits())
-    }
-
-    fn set(&mut self, m: u64) {
-        *self = f64::from_bits(m);
-    }
-}
 
 impl<A: Bounded + Default, B: Clone + Default> Bounded for Option<(A, B)> {
     fn measure(&self) -> Option<u64> {
@@ -924,7 +907,6 @@ mod tests {
             U8::save(&7u8, s);
             U32::save(&0xdead_beef, s);
             U64::save(&(u64::MAX - 1), s);
-            RawF64::save(&-0.125, s);
         });
         w.section(*b"BBBB", |s| s.bytes(&[1, 2, 3]));
         w.finish()
@@ -937,28 +919,21 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_clocks_are_range_checked() {
+    fn counts_are_range_checked() {
         let mut w = SnapshotWriter::new();
         w.section(*b"AAAA", |s| {
-            U64::save(&SNAPSHOT_COUNT_LIMIT, s);
-            U64::save(&(SNAPSHOT_COUNT_LIMIT + 1), s);
-            for t in [0.0, 1e6, -1.0, f64::INFINITY, f64::NAN, 1e300] {
-                RawF64::save(&t, s);
+            for v in [0, SNAPSHOT_COUNT_LIMIT, SNAPSHOT_COUNT_LIMIT + 1, u64::MAX] {
+                U64::save(&v, s);
             }
         });
         let bytes = w.finish();
         let r = SnapshotReader::parse(&bytes).unwrap();
         let mut a = r.section(*b"AAAA").unwrap();
+        assert_eq!(read::<u64, Count>(&mut a), Ok(0));
         assert_eq!(read::<u64, Count>(&mut a), Ok(SNAPSHOT_COUNT_LIMIT));
-        assert!(matches!(
-            read::<u64, Count>(&mut a),
-            Err(SnapshotError::Corrupt { .. })
-        ));
-        assert_eq!(read::<f64, Clock>(&mut a), Ok(0.0));
-        assert_eq!(read::<f64, Clock>(&mut a), Ok(1e6));
-        for _ in 0..4 {
+        for _ in 0..2 {
             assert!(matches!(
-                read::<f64, Clock>(&mut a),
+                read::<u64, Count>(&mut a),
                 Err(SnapshotError::Corrupt { .. })
             ));
         }
@@ -972,10 +947,6 @@ mod tests {
         assert_eq!(read::<u8, U8>(&mut a), Ok(7));
         assert_eq!(read::<u32, U32>(&mut a), Ok(0xdead_beef));
         assert_eq!(read::<u64, U64>(&mut a), Ok(u64::MAX - 1));
-        assert_eq!(
-            read::<f64, RawF64>(&mut a).unwrap().to_bits(),
-            (-0.125f64).to_bits()
-        );
         assert!(a.bytes(1).is_err());
         let mut b = r.section(*b"BBBB").unwrap();
         assert_eq!(b.bytes(3).unwrap(), &[1, 2, 3]);
@@ -1003,7 +974,7 @@ mod tests {
         a: bool,
         b: bool,
         c: bool,
-        t: f64,
+        t: u64,
         inner: Inner,
         opt: Option<(u32, usize)>,
         loads: u32,
@@ -1012,7 +983,7 @@ mod tests {
     snapshot_table! {
         impl Outer |s| {
             (a, b, c): Flags,
-            t: Clock where [0, 4.0f64.to_bits()] unless s.a,
+            t: Count where [0, 4] unless s.a,
             inner: Nested,
             opt: Opt<(U32, U64)> where [1, 3],
         }
@@ -1038,7 +1009,7 @@ mod tests {
     fn tables_derive_codec_invariants_layout_and_edges() {
         let v = Outer {
             b: true,
-            t: 2.5,
+            t: 2,
             inner: Inner {
                 n: 3,
                 list: vec![4, 5],
@@ -1082,7 +1053,7 @@ mod tests {
             })
         );
         out_of_range.a = true;
-        out_of_range.t = 5.0;
+        out_of_range.t = 5;
         out_of_range.inner.list.pop();
         out_of_range.inner.list.pop();
         assert!(reload(&sealed(&out_of_range)).is_ok(), "escape condition");

@@ -934,7 +934,9 @@ mod tests {
         assert_eq!(c.lookup(0x40, 4), Lookup::Miss);
     }
 
+    // These two check `debug_assert!`s, which release builds compile out.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "crosses a line boundary")]
     fn cross_line_lookup_panics() {
         let mut c = small();
@@ -942,6 +944,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty lookup")]
     fn empty_lookup_panics() {
         // Regression: `addr.wrapping_add(len - 1)` underflowed for

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use tm3270_encode::snapshot::{Array, Clock, Count, List, Nested, U32};
+use tm3270_encode::snapshot::{Array, Count, List, Nested, U32};
 use tm3270_isa::PfParam;
 
 /// Number of prefetch regions (paper: four).
@@ -63,8 +63,8 @@ pub struct PrefetchUnit {
     /// reserved up front, so steady-state operation never allocates.
     queue: VecDeque<u32>,
     /// Line-base addresses currently being transferred: (base, completion
-    /// cycle).
-    in_flight: Vec<(u32, f64)>,
+    /// tick).
+    in_flight: Vec<(u32, u64)>,
     capacity: usize,
     stats: PrefetchStats,
 }
@@ -156,19 +156,19 @@ impl PrefetchUnit {
     }
 
     /// Records that a prefetch for `base` was issued to the channel,
-    /// completing at `completion`.
-    pub fn mark_in_flight(&mut self, base: u32, completion: f64) {
+    /// completing at tick `completion`.
+    pub fn mark_in_flight(&mut self, base: u32, completion: u64) {
         self.in_flight.push((base, completion));
         self.stats.issued += 1;
     }
 
     /// Removes and returns the first (oldest-issued) prefetch that has
-    /// completed by cycle `now`, preserving the issue order of the rest.
+    /// completed by tick `now`, preserving the issue order of the rest.
     /// Draining via repeated pops replaces the old
     /// `completed() -> Vec<u32>` API: no intermediate collections, and
     /// the empty in-flight set — the common case, probed once per
     /// executed instruction — costs a single length check.
-    pub fn pop_completed(&mut self, now: f64) -> Option<u32> {
+    pub fn pop_completed(&mut self, now: u64) -> Option<u32> {
         if self.in_flight.is_empty() {
             return None;
         }
@@ -179,11 +179,11 @@ impl PrefetchUnit {
         Some(base)
     }
 
-    /// If a prefetch of `base` is in flight, returns its completion cycle
+    /// If a prefetch of `base` is in flight, returns its completion tick
     /// (a demand access to that line waits for it rather than re-fetching).
     /// The empty set — the common case on every demand miss — is a single
     /// length check, not a scan.
-    pub fn in_flight_completion(&self, base: u32) -> Option<f64> {
+    pub fn in_flight_completion(&self, base: u32) -> Option<u64> {
         if self.in_flight.is_empty() {
             return None;
         }
@@ -215,7 +215,7 @@ tm3270_encode::snapshot_table! {
     impl PrefetchUnit |p| {
         regions: Array<Nested>,
         queue: List<U32> where [0, p.capacity as u64],
-        in_flight: List<(U32, Clock)>,
+        in_flight: List<(U32, Count)>,
         stats: Nested,
     }
 }
@@ -313,12 +313,12 @@ mod tests {
         let mut u = unit_with_region();
         u.observe_load(0x1040, 128, |_| false);
         let base = u.pop_request().unwrap();
-        u.mark_in_flight(base, 100.0);
+        u.mark_in_flight(base, 100);
         assert!(u.has_in_flight());
-        assert_eq!(u.in_flight_completion(base), Some(100.0));
-        assert_eq!(u.pop_completed(50.0), None);
-        assert_eq!(u.pop_completed(100.0), Some(base));
-        assert_eq!(u.pop_completed(100.0), None);
+        assert_eq!(u.in_flight_completion(base), Some(100));
+        assert_eq!(u.pop_completed(50), None);
+        assert_eq!(u.pop_completed(100), Some(base));
+        assert_eq!(u.pop_completed(100), None);
         assert_eq!(u.in_flight_completion(base), None);
         assert!(!u.has_in_flight());
     }
@@ -327,14 +327,14 @@ mod tests {
     fn pop_completed_preserves_issue_order() {
         let mut u = PrefetchUnit::new(8);
         // Three in flight; the middle one completes latest.
-        u.mark_in_flight(0x100, 10.0);
-        u.mark_in_flight(0x200, 30.0);
-        u.mark_in_flight(0x300, 20.0);
-        assert_eq!(u.pop_completed(25.0), Some(0x100));
-        assert_eq!(u.pop_completed(25.0), Some(0x300));
-        assert_eq!(u.pop_completed(25.0), None, "0x200 still pending");
-        assert_eq!(u.in_flight_completion(0x200), Some(30.0));
-        assert_eq!(u.pop_completed(30.0), Some(0x200));
+        u.mark_in_flight(0x100, 10);
+        u.mark_in_flight(0x200, 30);
+        u.mark_in_flight(0x300, 20);
+        assert_eq!(u.pop_completed(25), Some(0x100));
+        assert_eq!(u.pop_completed(25), Some(0x300));
+        assert_eq!(u.pop_completed(25), None, "0x200 still pending");
+        assert_eq!(u.in_flight_completion(0x200), Some(30));
+        assert_eq!(u.pop_completed(30), Some(0x200));
     }
 
     #[test]

@@ -6,26 +6,17 @@
 //! arrays model presence, validity and recency, which drive the timing
 //! (stall cycles) and traffic (DRAM bytes) that the paper's evaluation
 //! depends on.
+//!
+//! Timing inside the memory system is kept in exact integer ticks (see
+//! the `dram` module): the pipeline hands in whole cycles, and stalls go
+//! back rounded up to whole cycles.
 
 use crate::cache::{CacheArray, CacheGeometry, CacheStats, Lookup};
 use crate::dram::{Dram, DramConfig, DramStats, Priority};
 use crate::prefetch::{PrefetchStats, PrefetchUnit, Region};
-use tm3270_encode::snapshot::{Clock, Count, MemoryRun, Nested};
+use tm3270_encode::snapshot::{Count, MemoryRun, Nested};
 use tm3270_isa::{CacheOp, DataMemory, FlatMemory, PfParam};
 use tm3270_obs::{CacheId, CacheOutcome, EventKinds, MemTxKind, SinkHandle, TraceEvent};
-
-/// `ceil` for the non-negative sub-2^53 stall values this module
-/// produces, without the libm `ceil` call the default x86-64 target
-/// emits (no SSE4.1 `roundsd`). Truncate, then bump if fractional.
-#[inline]
-fn ceil_u64(s: f64) -> u64 {
-    let t = s as u64;
-    if t as f64 == s {
-        t
-    } else {
-        t + 1
-    }
-}
 
 fn outcome_of(lookup: Lookup) -> CacheOutcome {
     match lookup {
@@ -46,7 +37,7 @@ pub struct MemConfig {
     /// fetch-on-write-miss (TM3260). Paper, Table 6.
     pub allocate_on_write_miss: bool,
     /// CPU clock in MHz (240 for the TM3260, 350 for the TM3270).
-    pub cpu_freq_mhz: f64,
+    pub cpu_freq_mhz: u32,
     /// The DRAM channel.
     pub dram: DramConfig,
     /// Cache-write-buffer capacity in pending stores.
@@ -57,7 +48,7 @@ pub struct MemConfig {
     /// further than this many CPU cycles ahead, issuing more background
     /// traffic (write-miss fetches, copy-backs) stalls the core — the
     /// finite miss/write queue of the bus interface unit.
-    pub bg_backpressure_cycles: f64,
+    pub bg_backpressure_cycles: u32,
     /// Size of the flat backing memory in bytes (power of two).
     pub mem_size: usize,
     /// Strict access checking: when `true`, accesses beyond `mem_size`
@@ -76,11 +67,11 @@ impl MemConfig {
             dcache: CacheGeometry::tm3270_dcache(),
             icache: CacheGeometry::tm3270_icache(),
             allocate_on_write_miss: true,
-            cpu_freq_mhz: 350.0,
+            cpu_freq_mhz: 350,
             dram: DramConfig::paper_default(),
             cwb_entries: 8,
             prefetch_queue: 8,
-            bg_backpressure_cycles: 300.0,
+            bg_backpressure_cycles: 300,
             mem_size: 16 << 20,
             strict_access: false,
         }
@@ -92,13 +83,13 @@ impl MemConfig {
             dcache: CacheGeometry::tm3260_dcache(),
             icache: CacheGeometry::tm3260_icache(),
             allocate_on_write_miss: false,
-            cpu_freq_mhz: 240.0,
+            cpu_freq_mhz: 240,
             dram: DramConfig::paper_default(),
             cwb_entries: 8,
             prefetch_queue: 8,
             // The TM3260's older bus interface tracks far fewer
             // outstanding transfers than the TM3270's.
-            bg_backpressure_cycles: 20.0,
+            bg_backpressure_cycles: 20,
             mem_size: 16 << 20,
             strict_access: false,
         }
@@ -106,20 +97,20 @@ impl MemConfig {
 }
 
 /// Aggregate memory-system statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Demand load operations.
     pub loads: u64,
     /// Demand store operations.
     pub stores: u64,
-    /// Data-side stall cycles (cache misses, CWB back-pressure,
-    /// prefetch waits).
-    pub data_stall_cycles: f64,
-    /// Stall cycles spent waiting for an in-flight prefetch (late
+    /// Data-side stall ticks (cache misses, CWB back-pressure, prefetch
+    /// waits).
+    pub data_stall_ticks: u64,
+    /// Stall ticks spent waiting for an in-flight prefetch (late
     /// prefetch).
-    pub prefetch_wait_cycles: f64,
-    /// Instruction-side stall cycles.
-    pub instr_stall_cycles: f64,
+    pub prefetch_wait_ticks: u64,
+    /// Instruction-side stall ticks.
+    pub instr_stall_ticks: u64,
     /// Instruction fetch requests.
     pub ifetches: u64,
     /// Data accesses that crossed a cache-line boundary (non-aligned,
@@ -136,18 +127,25 @@ pub struct MemorySystem {
     icache: CacheArray,
     prefetch: PrefetchUnit,
     dram: Dram,
+    /// Ticks in one CPU cycle.
+    cycle_ticks: u64,
+    /// The BIU back-pressure window in ticks.
+    backpressure: u64,
     /// Current CPU cycle, set by the pipeline before executing an
     /// instruction's operations.
-    now: f64,
+    now: u64,
     /// VLIW instruction index of the requesting instruction, set by the
     /// pipeline (only when tracing) so cache-access events carry the
     /// requesting PC. Purely presentational: not snapshotted, no effect
     /// on timing.
     pc: usize,
-    /// Stall cycles accumulated since `begin_instr`.
-    stall: f64,
-    cwb_pending: f64,
-    cwb_last: f64,
+    /// Stall ticks accumulated since `begin_instr`.
+    stall: u64,
+    /// Cache-write-buffer occupancy in units of `1 / cycle_ticks` of an
+    /// entry: draining two entries per cycle drains two units per tick.
+    cwb_pending: u64,
+    /// Tick of the last cache-write-buffer update.
+    cwb_last: u64,
     stats: MemStats,
     /// Trace-event sink (disabled by default; see `tm3270-obs`).
     sink: SinkHandle,
@@ -162,11 +160,13 @@ impl MemorySystem {
             icache: CacheArray::new(config.icache),
             prefetch: PrefetchUnit::new(config.prefetch_queue),
             dram: Dram::new(config.dram, config.cpu_freq_mhz),
-            now: 0.0,
+            cycle_ticks: config.dram.cycle_ticks(),
+            backpressure: u64::from(config.bg_backpressure_cycles) * config.dram.cycle_ticks(),
+            now: 0,
             pc: 0,
-            stall: 0.0,
-            cwb_pending: 0.0,
-            cwb_last: 0.0,
+            stall: 0,
+            cwb_pending: 0,
+            cwb_last: 0,
             stats: MemStats::default(),
             sink: SinkHandle::disabled(),
             config,
@@ -180,9 +180,21 @@ impl MemorySystem {
         self.sink = sink;
     }
 
+    /// The current tick: the instruction's cycle plus its stall so far.
+    #[inline]
+    fn t(&self) -> u64 {
+        self.now * self.cycle_ticks + self.stall
+    }
+
+    /// `ticks` as the `f64` cycle stamp of a trace event: exact wherever
+    /// the stamp is representable.
+    fn cycle_of(&self, ticks: u64) -> f64 {
+        ticks as f64 / self.cycle_ticks as f64
+    }
+
     fn emit_evict(&self, cache: CacheId, victim: &crate::cache::Victim) {
         self.sink.emit_with(|| TraceEvent::CacheEvict {
-            cycle: self.now + self.stall,
+            cycle: self.cycle_of(self.t()),
             cache,
             base: victim.base,
             copyback_bytes: victim.copyback_bytes,
@@ -239,102 +251,98 @@ impl MemorySystem {
     /// snapshot bytes.
     #[inline]
     pub fn set_now(&mut self, now: u64) {
-        self.now = now as f64;
+        self.now = now;
     }
 
     /// Starts timing a new instruction at CPU cycle `now`. Costs two
     /// stores and one empty-check when no prefetch is in flight (the
     /// common case: this runs once per executed instruction).
     pub fn begin_instr(&mut self, now: u64) {
-        self.now = now as f64;
-        self.stall = 0.0;
+        self.now = now;
+        self.stall = 0;
         if self.prefetch.has_in_flight() {
             self.absorb_prefetch_completions();
         }
     }
 
-    /// Returns and clears the stall cycles accumulated since the last
-    /// [`begin_instr`](Self::begin_instr).
+    /// Returns and clears the stall accumulated since the last
+    /// [`begin_instr`](Self::begin_instr), rounded up to whole cycles.
     pub fn take_stall(&mut self) -> u64 {
-        let s = self.stall;
-        self.stall = 0.0;
-        // Fast path for the overwhelmingly common stall-free
-        // instruction: `f64::ceil` is a libm call on the default x86-64
-        // target (no SSE4.1 `roundsd`), and worth branching around.
-        if s == 0.0 {
+        let s = std::mem::take(&mut self.stall);
+        if s == 0 {
             0
         } else {
-            ceil_u64(s)
+            s.div_ceil(self.cycle_ticks)
         }
     }
 
     fn absorb_prefetch_completions(&mut self) {
         // Pop-style drain: no intermediate `Vec`s (the old `partition`
         // allocated two per call), same completion order.
-        while let Some(base) = self.prefetch.pop_completed(self.now + self.stall) {
+        while let Some(base) = self.prefetch.pop_completed(self.t()) {
             if let Some(victim) = self.dcache.fill(base, true) {
-                let t = self.now + self.stall;
+                let t = self.t();
                 let completion = self
                     .dram
                     .request(t, victim.copyback_bytes, Priority::Background);
                 self.sink.emit_with(|| TraceEvent::CacheEvict {
-                    cycle: t,
+                    cycle: self.cycle_of(t),
                     cache: CacheId::Data,
                     base: victim.base,
                     copyback_bytes: victim.copyback_bytes,
                 });
-                self.sink.emit_with(|| TraceEvent::DramTransaction {
-                    cycle: t,
-                    kind: MemTxKind::Copyback,
-                    bytes: victim.copyback_bytes,
-                    completion,
-                });
+                self.emit_dram(t, MemTxKind::Copyback, victim.copyback_bytes, completion);
             }
         }
     }
 
-    /// Schedules a background transfer, stalling the core if the channel
-    /// is booked too far ahead (finite BIU queue).
-    fn background_request(&mut self, bytes: u32, kind: MemTxKind) -> f64 {
-        let t = self.now + self.stall;
-        let completion = self.dram.request(t, bytes, Priority::Background);
+    /// Emits a `DramTransaction` booked at tick `t`, completing at tick
+    /// `completion`.
+    fn emit_dram(&self, t: u64, kind: MemTxKind, bytes: u32, completion: u64) {
         self.sink.emit_with(|| TraceEvent::DramTransaction {
-            cycle: t,
+            cycle: self.cycle_of(t),
             kind,
             bytes,
-            completion,
+            completion: self.cycle_of(completion),
         });
+    }
+
+    /// Schedules a background transfer, stalling the core if the channel
+    /// is booked too far ahead (finite BIU queue).
+    fn background_request(&mut self, bytes: u32, kind: MemTxKind) {
+        let t = self.t();
+        let completion = self.dram.request(t, bytes, Priority::Background);
+        self.emit_dram(t, kind, bytes, completion);
         let lag = self.dram.free_at() - t;
-        if lag > self.config.bg_backpressure_cycles {
-            let wait = lag - self.config.bg_backpressure_cycles;
+        if lag > self.backpressure {
+            let wait = lag - self.backpressure;
             self.stall += wait;
-            self.stats.data_stall_cycles += wait;
+            self.stats.data_stall_ticks += wait;
         }
-        completion
     }
 
     fn issue_queued_prefetches(&mut self) {
         let line = self.config.dcache.line;
         // Prefetches are opportunistic: they are only issued while the
         // channel is not badly congested, and never stall the core.
-        while self.dram.free_at() - (self.now + self.stall) <= self.config.bg_backpressure_cycles {
+        while self.dram.free_at() <= self.t() + self.backpressure {
             match self.prefetch.pop_request() {
-                Some(base) => {
-                    let t = self.now + self.stall;
-                    let completion = self.dram.request(t, line, Priority::Background);
-                    self.prefetch.mark_in_flight(base, completion);
-                    self.sink
-                        .emit_with(|| TraceEvent::PrefetchIssue { cycle: t, base });
-                    self.sink.emit_with(|| TraceEvent::DramTransaction {
-                        cycle: t,
-                        kind: MemTxKind::Prefetch,
-                        bytes: line,
-                        completion,
-                    });
-                }
+                Some(base) => self.issue_prefetch(base, line),
                 None => break,
             }
         }
+    }
+
+    /// Books a prefetch of the line at `base` now.
+    fn issue_prefetch(&mut self, base: u32, line: u32) {
+        let t = self.t();
+        let completion = self.dram.request(t, line, Priority::Background);
+        self.prefetch.mark_in_flight(base, completion);
+        self.sink.emit_with(|| TraceEvent::PrefetchIssue {
+            cycle: self.cycle_of(t),
+            base,
+        });
+        self.emit_dram(t, MemTxKind::Prefetch, line, completion);
     }
 
     /// Segments `[addr, addr + len)` by cache-line boundary (ordinary
@@ -351,55 +359,44 @@ impl MemorySystem {
     }
 
     fn demand_fill(&mut self, base: u32, prefetched_wait: bool) {
-        let t = self.now + self.stall;
+        let t = self.t();
         // A line already being prefetched is awaited, not re-fetched.
         if let Some(completion) = self.prefetch.in_flight_completion(base) {
             if completion > t {
                 let wait = completion - t;
                 self.stall += wait;
-                self.stats.prefetch_wait_cycles += wait;
+                self.stats.prefetch_wait_ticks += wait;
                 if prefetched_wait {
-                    self.stats.data_stall_cycles += wait;
+                    self.stats.data_stall_ticks += wait;
                 }
                 self.sink.emit_with(|| TraceEvent::PrefetchLate {
-                    cycle: t,
+                    cycle: self.cycle_of(t),
                     base,
-                    wait,
+                    wait: self.cycle_of(wait),
                 });
             }
             self.absorb_prefetch_completions();
             return;
         }
-        let completion = self
-            .dram
-            .request(t, self.config.dcache.line, Priority::Demand);
-        self.sink.emit_with(|| TraceEvent::DramTransaction {
-            cycle: t,
-            kind: MemTxKind::DemandFill,
-            bytes: self.config.dcache.line,
-            completion,
-        });
+        let line = self.config.dcache.line;
+        let completion = self.dram.request(t, line, Priority::Demand);
+        self.emit_dram(t, MemTxKind::DemandFill, line, completion);
         let wait = completion - t;
         self.stall += wait;
         if prefetched_wait {
-            self.stats.data_stall_cycles += wait;
+            self.stats.data_stall_ticks += wait;
         }
         if let Some(victim) = self.dcache.fill(base, false) {
             let cb = self
                 .dram
                 .request(completion, victim.copyback_bytes, Priority::Background);
             self.sink.emit_with(|| TraceEvent::CacheEvict {
-                cycle: completion,
+                cycle: self.cycle_of(completion),
                 cache: CacheId::Data,
                 base: victim.base,
                 copyback_bytes: victim.copyback_bytes,
             });
-            self.sink.emit_with(|| TraceEvent::DramTransaction {
-                cycle: completion,
-                kind: MemTxKind::Copyback,
-                bytes: victim.copyback_bytes,
-                completion: cb,
-            });
+            self.emit_dram(completion, MemTxKind::Copyback, victim.copyback_bytes, cb);
         }
     }
 
@@ -410,7 +407,7 @@ impl MemorySystem {
     #[inline(never)]
     fn emit_cache_access(&self, addr: u32, lookup: Lookup, prefetch_hit: bool) {
         self.sink.emit(TraceEvent::CacheAccess {
-            cycle: self.now + self.stall,
+            cycle: self.cycle_of(self.t()),
             cache: CacheId::Data,
             addr,
             outcome: outcome_of(lookup),
@@ -516,26 +513,29 @@ impl MemorySystem {
         // Cache write buffer: drains up to two pending stores per cycle
         // (the 128-bit bit-write SRAM port absorbs merged stores, §4.2);
         // back-pressure stalls the pipeline.
-        let t = self.now + self.stall;
-        let drained = (t - self.cwb_last).max(0.0) * 2.0;
-        self.cwb_pending = (self.cwb_pending - drained).max(0.0);
+        // An exec-error retry restarts the instruction at an earlier
+        // tick than the buffer's last update, hence the saturation.
+        let t = self.t();
+        let drained = t.saturating_sub(self.cwb_last).saturating_mul(2);
+        self.cwb_pending = self.cwb_pending.saturating_sub(drained);
         self.cwb_last = t;
-        if self.cwb_pending >= f64::from(self.config.cwb_entries) {
-            self.stall += 1.0;
-            self.stats.data_stall_cycles += 1.0;
-            self.cwb_pending -= 1.0;
+        let entry = self.cycle_ticks;
+        if self.cwb_pending >= u64::from(self.config.cwb_entries) * entry {
+            self.stall += entry;
+            self.stats.data_stall_ticks += entry;
+            self.cwb_pending -= entry;
         }
-        self.cwb_pending += 1.0;
+        self.cwb_pending += entry;
     }
 
-    /// One line-confined segment of an instruction fetch. Returns the
-    /// stall cycles this segment adds on top of `stall`.
+    /// One line-confined segment of an instruction fetch at tick `t`.
+    /// Returns the stall ticks this segment adds.
     #[inline]
-    fn fetch_segment(&mut self, now: f64, stall: f64, a: u32, n: u32, geom: CacheGeometry) -> f64 {
+    fn fetch_segment(&mut self, t: u64, a: u32, n: u32, geom: CacheGeometry) -> u64 {
         let lookup = self.icache.lookup(a, n);
         if self.sink.wants(EventKinds::CACHE_ACCESS) {
             self.sink.emit(TraceEvent::CacheAccess {
-                cycle: now + stall,
+                cycle: self.cycle_of(t),
                 cache: CacheId::Instr,
                 addr: a,
                 outcome: outcome_of(lookup),
@@ -544,19 +544,13 @@ impl MemorySystem {
             });
         }
         if lookup == Lookup::Hit {
-            return 0.0;
+            return 0;
         }
-        let t = now + stall;
         let completion = self.dram.request(t, geom.line, Priority::Demand);
-        self.sink.emit_with(|| TraceEvent::DramTransaction {
-            cycle: t,
-            kind: MemTxKind::IFetch,
-            bytes: geom.line,
-            completion,
-        });
+        self.emit_dram(t, MemTxKind::IFetch, geom.line, completion);
         if let Some(victim) = self.icache.fill(geom.line_base(a), false) {
             self.sink.emit_with(|| TraceEvent::CacheEvict {
-                cycle: t,
+                cycle: self.cycle_of(t),
                 cache: CacheId::Instr,
                 base: victim.base,
                 copyback_bytes: victim.copyback_bytes,
@@ -565,29 +559,30 @@ impl MemorySystem {
         completion - t
     }
 
-    /// Timing for an instruction fetch of `len` bytes at `addr`. Returns
-    /// the stall cycles (not accumulated into the data-side stall).
+    /// Timing for an instruction fetch of `len` bytes at `addr` in cycle
+    /// `now`. Returns the stall cycles (not accumulated into the
+    /// data-side stall).
     pub fn fetch_instr(&mut self, now: u64, addr: u32, len: u32) -> u64 {
         self.stats.ifetches += 1;
         let geom = self.config.icache;
         let len = len.max(1);
-        let mut stall = 0.0;
+        let now = now * self.cycle_ticks;
+        let mut stall = 0;
         for (a, n) in Self::segments(geom, addr, len) {
-            stall += self.fetch_segment(now as f64, stall, a, n, geom);
+            stall += self.fetch_segment(now + stall, a, n, geom);
         }
-        self.stats.instr_stall_cycles += stall;
-        // Same libm-avoiding fast path as `take_stall`: almost every
-        // fetch hits the instruction cache and stalls zero cycles.
-        if stall == 0.0 {
+        self.stats.instr_stall_ticks += stall;
+        if stall == 0 {
             0
         } else {
-            ceil_u64(stall)
+            stall.div_ceil(self.cycle_ticks)
         }
     }
 
     /// A point-in-time snapshot of all statistics.
     pub fn stats(&self) -> FullStats {
         FullStats {
+            cycle_ticks: self.cycle_ticks,
             mem: self.stats,
             dcache: self.dcache.stats(),
             icache: self.icache.stats(),
@@ -599,14 +594,16 @@ impl MemorySystem {
 
 // The flat memory is trailing-zero trimmed, which keeps snapshots of the
 // default 16 MB address space proportional to the touched footprint. The
-// trace sink, the requesting pc and the configuration are not state.
+// trace sink, the requesting pc, the configuration and the tick rates
+// that follow from it are not state. `now` is in whole cycles; `stall`,
+// `cwb_last` and every other time below it are in ticks.
 tm3270_encode::snapshot_table! {
     impl MemorySystem |m| {
         flat: MemoryRun,
-        now: Clock,
-        stall: Clock,
-        cwb_pending: Clock,
-        cwb_last: Clock,
+        now: Count,
+        stall: Count,
+        cwb_pending: Count,
+        cwb_last: Count,
         stats: Nested,
         dcache: Nested,
         icache: Nested,
@@ -619,14 +616,15 @@ tm3270_encode::snapshot_table! {
     impl MemStats |s| {
         loads: Count,
         stores: Count,
-        data_stall_cycles: Clock,
-        prefetch_wait_cycles: Clock,
-        instr_stall_cycles: Clock,
+        data_stall_ticks: Count,
+        prefetch_wait_ticks: Count,
+        instr_stall_ticks: Count,
         ifetches: Count,
         line_crossers: Count,
     }
 }
 
+// The tick rate is configuration and stays as built.
 tm3270_encode::snapshot_table! {
     impl FullStats |s| {
         mem: Nested,
@@ -638,8 +636,10 @@ tm3270_encode::snapshot_table! {
 }
 
 /// Snapshot of every statistic the memory system tracks.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FullStats {
+    /// Ticks in one CPU cycle: the unit of every `_ticks` statistic.
+    pub cycle_ticks: u64,
     /// Top-level counters and stall breakdown.
     pub mem: MemStats,
     /// Data-cache array statistics.
@@ -650,6 +650,14 @@ pub struct FullStats {
     pub prefetch: PrefetchStats,
     /// DRAM channel statistics.
     pub dram: DramStats,
+}
+
+impl FullStats {
+    /// `ticks` in CPU cycles, for reports: exact wherever the quotient
+    /// is representable.
+    pub fn cycles(&self, ticks: u64) -> f64 {
+        ticks as f64 / self.cycle_ticks as f64
+    }
 }
 
 /// Allocation-free iterator over the line-bounded segments of a byte
@@ -728,7 +736,7 @@ impl DataMemory for MemorySystem {
     fn cache_op(&mut self, op: CacheOp, addr: u32) {
         let geom = self.config.dcache;
         let base = geom.line_base(addr);
-        let t = self.now + self.stall;
+        let t = self.t();
         match op {
             CacheOp::Allocate => {
                 if let Some(victim) = self.dcache.allocate(base) {
@@ -736,27 +744,13 @@ impl DataMemory for MemorySystem {
                         self.dram
                             .request(t, victim.copyback_bytes, Priority::Background);
                     self.emit_evict(CacheId::Data, &victim);
-                    self.sink.emit_with(|| TraceEvent::DramTransaction {
-                        cycle: t,
-                        kind: MemTxKind::Copyback,
-                        bytes: victim.copyback_bytes,
-                        completion,
-                    });
+                    self.emit_dram(t, MemTxKind::Copyback, victim.copyback_bytes, completion);
                 }
             }
             CacheOp::Prefetch => {
                 if !self.dcache.contains(base) && self.prefetch.in_flight_completion(base).is_none()
                 {
-                    let completion = self.dram.request(t, geom.line, Priority::Background);
-                    self.prefetch.mark_in_flight(base, completion);
-                    self.sink
-                        .emit_with(|| TraceEvent::PrefetchIssue { cycle: t, base });
-                    self.sink.emit_with(|| TraceEvent::DramTransaction {
-                        cycle: t,
-                        kind: MemTxKind::Prefetch,
-                        bytes: geom.line,
-                        completion,
-                    });
+                    self.issue_prefetch(base, geom.line);
                 }
             }
             CacheOp::Invalidate => {
@@ -766,12 +760,7 @@ impl DataMemory for MemorySystem {
                 let bytes = self.dcache.flush(base);
                 if bytes > 0 {
                     let completion = self.dram.request(t, bytes, Priority::Background);
-                    self.sink.emit_with(|| TraceEvent::DramTransaction {
-                        cycle: t,
-                        kind: MemTxKind::CacheControl,
-                        bytes,
-                        completion,
-                    });
+                    self.emit_dram(t, MemTxKind::CacheControl, bytes, completion);
                 }
             }
         }
@@ -799,20 +788,26 @@ mod tests {
     }
 
     #[test]
-    fn ceil_u64_matches_f64_ceil() {
-        for s in [
-            0.0,
-            0.25,
-            0.5,
-            1.0,
-            1.0000001,
-            17.0,
-            17.999,
-            1e9,
-            1e9 + 0.5,
-            4503599627370495.5,
-        ] {
-            assert_eq!(ceil_u64(s), s.ceil() as u64, "s = {s}");
+    fn memset_store_stream_charges_no_phantom_stall() {
+        // memset's store stream on config A's memory system: two 4-byte
+        // stores per instruction, fetch-on-write-miss, so every new line
+        // books 64 bytes (9.6 cycles) of background traffic behind the
+        // 20-cycle BIU window. At instruction 272 the exact stall is one
+        // cycle; summed as `f64` cycles it came to 1.0000000000001137
+        // and was charged as two.
+        let mut m = tm3260_system();
+        let (mut now, mut addr) = (0u64, 0x20_0000u32);
+        for i in 0..=272 {
+            m.begin_instr(now);
+            for _ in 0..2 {
+                m.store_bytes(addr, &[0; 4]);
+                addr += 4;
+            }
+            let stall = m.take_stall();
+            if i == 272 {
+                assert_eq!((now, stall), (315, 1));
+            }
+            now += 1 + stall;
         }
     }
 

@@ -47,7 +47,7 @@ fn dram_backpressure_bounds_outstanding_background_traffic() {
     // megabytes of traffic into the future.
     assert!(s.dcache.allocations >= 8000);
     assert!(
-        s.dram.busy_cpu_cycles < cycle as f64 + 10_000.0,
+        s.dram.busy_ticks < (cycle + 10_000) * s.cycle_ticks,
         "channel booking stays near real time"
     );
 }

@@ -3,8 +3,11 @@
 //! Events are small `Copy` values stamped with the simulated cycle at
 //! which they occurred. Pipeline-side events carry integer cycles (the
 //! pipeline advances in whole cycles); memory-side events carry `f64`
-//! cycles, matching the sub-cycle bookkeeping of the DRAM channel and
-//! prefetch unit.
+//! cycles, because the memory model times the DRAM channel and the
+//! prefetch unit in exact integer ticks, fractions of a cycle. The stamp
+//! is `ticks / ticks_per_cycle`, for presentation only: it is exact
+//! wherever the quotient is representable (every stamp at 350 MHz), and
+//! nothing in the model reads it back.
 
 /// Why the pipeline stalled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -232,8 +232,9 @@ impl TimelineSink {
 
 impl TraceSink for TimelineSink {
     fn event(&mut self, event: &TraceEvent) {
-        // Integer interval bucketing; memory events carry sub-cycle f64
-        // stamps and land in the interval containing their whole cycle.
+        // Integer interval bucketing; memory events carry fractional
+        // cycle stamps (exact ticks over ticks per cycle) and land in
+        // the interval containing their whole cycle.
         let t = event.cycle() as u64;
         while t >= self.cur.end {
             // Seal the current interval, then jump directly to the

@@ -111,14 +111,8 @@ mod tests {
             taken_branches: 0,
             ifetch_stall_cycles: 0,
             data_stall_cycles: 0,
-            freq_mhz: 350.0,
-            mem: tm3270_mem::FullStats {
-                mem: Default::default(),
-                dcache: Default::default(),
-                icache: Default::default(),
-                prefetch: Default::default(),
-                dram: Default::default(),
-            },
+            freq_mhz: 350,
+            mem: Default::default(),
         }
     }
 

@@ -336,8 +336,9 @@ mod tests {
             taken_branches: 0,
             ifetch_stall_cycles: 0,
             data_stall_cycles: 0,
-            freq_mhz: 350.0,
+            freq_mhz: 350,
             mem: tm3270_mem::FullStats {
+                cycle_ticks: 1600,
                 mem: Default::default(),
                 dcache: Default::default(),
                 icache: Default::default(),
@@ -346,7 +347,7 @@ mod tests {
                     transfers: 0,
                     demand_transfers: 0,
                     bytes: bus_bytes,
-                    busy_cpu_cycles: 0.0,
+                    busy_ticks: 0,
                 },
             },
         }

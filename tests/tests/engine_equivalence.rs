@@ -41,14 +41,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "memset",
         config: "TM3260 (config A)",
-        cycles: 17388,
+        cycles: 17387,
         instrs: 8195,
         ops: 18437,
         exec_ops: 18436,
         branches: 512,
         taken_branches: 511,
         ifetch_stall: 196,
-        data_stall: 8997,
+        data_stall: 8996,
         dcache_misses: 1024,
         dram_bytes: 114944,
         reg_digest: 0x44d37e9af1d7a8e9,
@@ -233,14 +233,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "rgb2yuv",
         config: "TM3260 (config A)",
-        cycles: 805401,
+        cycles: 805135,
         instrs: 556802,
         ops: 1593608,
         exec_ops: 1593607,
         branches: 19200,
         taken_branches: 19199,
         ifetch_stall: 322,
-        data_stall: 248277,
+        data_stall: 248011,
         dcache_misses: 8400,
         dram_bytes: 761920,
         reg_digest: 0xa2f026013c160576,
@@ -313,14 +313,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "rgb2cmyk",
         config: "TM3270 core, 16KB D$ @ 240 MHz (config B)",
-        cycles: 568358,
+        cycles: 568350,
         instrs: 403202,
         ops: 1228808,
         exec_ops: 1228807,
         branches: 19200,
         taken_branches: 19199,
         ifetch_stall: 168,
-        data_stall: 164988,
+        data_stall: 164980,
         dcache_misses: 7649,
         dram_bytes: 674232,
         reg_digest: 0x4365d0ece8a80885,
@@ -361,14 +361,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "rgb2yiq",
         config: "TM3260 (config A)",
-        cycles: 736456,
+        cycles: 736286,
         instrs: 480002,
         ops: 1209608,
         exec_ops: 1209607,
         branches: 19200,
         taken_branches: 19199,
         ifetch_stall: 292,
-        data_stall: 256162,
+        data_stall: 255992,
         dcache_misses: 10800,
         dram_bytes: 1065664,
         reg_digest: 0xda912157de8f5495,
@@ -425,14 +425,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "mpeg2_a",
         config: "TM3260 (config A)",
-        cycles: 1891565,
+        cycles: 1891321,
         instrs: 268839,
         ops: 866968,
         exec_ops: 866937,
         branches: 1380,
         taken_branches: 1349,
         ifetch_stall: 2604,
-        data_stall: 1620122,
+        data_stall: 1619878,
         dcache_misses: 39852,
         dram_bytes: 2919424,
         reg_digest: 0x5713df86bead514b,
@@ -441,14 +441,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "mpeg2_a",
         config: "TM3270 core, 16KB D$ @ 240 MHz (config B)",
-        cycles: 1985628,
+        cycles: 1985599,
         instrs: 275649,
         ops: 866968,
         exec_ops: 866937,
         branches: 1380,
         taken_branches: 1349,
         ifetch_stall: 1512,
-        data_stall: 1708467,
+        data_stall: 1708438,
         dcache_misses: 33151,
         dram_bytes: 4186880,
         reg_digest: 0x5713df86bead514b,
@@ -489,14 +489,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "mpeg2_b",
         config: "TM3260 (config A)",
-        cycles: 770455,
+        cycles: 770391,
         instrs: 268839,
         ops: 866968,
         exec_ops: 866937,
         branches: 1380,
         taken_branches: 1349,
         ifetch_stall: 2604,
-        data_stall: 499012,
+        data_stall: 498948,
         dcache_misses: 16118,
         dram_bytes: 1396864,
         reg_digest: 0x7eddeba75465b9ee,
@@ -505,14 +505,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "mpeg2_b",
         config: "TM3270 core, 16KB D$ @ 240 MHz (config B)",
-        cycles: 598094,
+        cycles: 598061,
         instrs: 275649,
         ops: 866968,
         exec_ops: 866937,
         branches: 1380,
         taken_branches: 1349,
         ifetch_stall: 1512,
-        data_stall: 320933,
+        data_stall: 320900,
         dcache_misses: 8704,
         dram_bytes: 1058176,
         reg_digest: 0x7eddeba75465b9ee,
@@ -553,14 +553,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "mpeg2_c",
         config: "TM3260 (config A)",
-        cycles: 1147086,
+        cycles: 1146990,
         instrs: 268839,
         ops: 866968,
         exec_ops: 866937,
         branches: 1380,
         taken_branches: 1349,
         ifetch_stall: 2604,
-        data_stall: 875643,
+        data_stall: 875547,
         dcache_misses: 23989,
         dram_bytes: 1902208,
         reg_digest: 0x1a2530977162f13c,
@@ -569,14 +569,14 @@ const GOLDENS: &[Golden] = &[
     Golden {
         kernel: "mpeg2_c",
         config: "TM3270 core, 16KB D$ @ 240 MHz (config B)",
-        cycles: 876375,
+        cycles: 876336,
         instrs: 275649,
         ops: 866968,
         exec_ops: 866937,
         branches: 1380,
         taken_branches: 1349,
         ifetch_stall: 1512,
-        data_stall: 599214,
+        data_stall: 599175,
         dcache_misses: 13564,
         dram_bytes: 1680512,
         reg_digest: 0x1a2530977162f13c,

@@ -12,7 +12,7 @@
 //! and never a silently half-restored machine being *accepted*.
 
 use tm3270_core::{Machine, MachineConfig, RunOptions, Snapshot, SnapshotError};
-use tm3270_encode::snapshot::{Edge, State};
+use tm3270_encode::snapshot::{Edge, State, SNAPSHOT_COUNT_LIMIT, SNAPSHOT_VERSION};
 use tm3270_encode::SnapshotWriter;
 use tm3270_kernels::registry;
 
@@ -190,6 +190,22 @@ fn corrupted_snapshots_fail_the_checksum() {
     }
 }
 
+/// `bytes` with its format version set to `version`, re-sealed with a
+/// valid checksum so only the version check can object.
+fn with_version(bytes: &[u8], version: u32) -> Snapshot {
+    let mut out = bytes.to_vec();
+    out[4..8].copy_from_slice(&version.to_le_bytes());
+    sealed(out)
+}
+
+/// `out` with its checksum trailer recomputed.
+fn sealed(mut out: Vec<u8>) -> Snapshot {
+    let body_len = out.len() - 8;
+    let sum = tm3270_encode::snapshot::snapshot_checksum(&out[..body_len]);
+    out[body_len..].copy_from_slice(&sum.to_le_bytes());
+    Snapshot::from_bytes(out)
+}
+
 /// A snapshot from a future format version is refused as a version
 /// mismatch — even when its checksum is valid — and wrong magic is
 /// refused outright.
@@ -202,18 +218,11 @@ fn foreign_headers_are_refused() {
     let bytes = m.snapshot().into_bytes();
     let mut target = build_cell(workload, config, false);
 
-    // Bump the version and re-seal the checksum so only the version
-    // check can object.
-    let mut future = bytes.clone();
-    future[4] = 2;
-    let body_len = future.len() - 8;
-    let sum = tm3270_encode::snapshot::snapshot_checksum(&future[..body_len]);
-    future[body_len..].copy_from_slice(&sum.to_le_bytes());
     assert_eq!(
-        target.restore(&Snapshot::from_bytes(future)),
+        target.restore(&with_version(&bytes, SNAPSHOT_VERSION + 1)),
         Err(SnapshotError::VersionMismatch {
-            found: 2,
-            expected: 1
+            found: SNAPSHOT_VERSION + 1,
+            expected: SNAPSHOT_VERSION
         })
     );
 
@@ -222,6 +231,33 @@ fn foreign_headers_are_refused() {
     assert_eq!(
         target.restore(&Snapshot::from_bytes(alien)),
         Err(SnapshotError::BadMagic)
+    );
+}
+
+/// Version 1 kept the memory model's clocks as `f64` cycles; version 2
+/// keeps them as integer ticks, so a version-1 blob is refused rather
+/// than misread.
+#[test]
+fn version_one_snapshots_are_refused() {
+    assert_eq!(SNAPSHOT_VERSION, 2);
+    let config = &MachineConfig::evaluation_suite()[0];
+    let workload = &registry(1)[0];
+    let mut m = build_cell(workload, config, true);
+    let _ = m.run_with(RunOptions::budget(200)).into_result();
+    let old = with_version(&m.snapshot().into_bytes(), 1);
+    let mut target = build_cell(workload, config, false);
+    let before = target.snapshot();
+    assert_eq!(
+        target.restore(&old),
+        Err(SnapshotError::VersionMismatch {
+            found: 1,
+            expected: 2
+        })
+    );
+    assert_eq!(
+        target.snapshot(),
+        before,
+        "a refused restore changes nothing"
     );
 }
 
@@ -243,10 +279,7 @@ fn reseal(bytes: &[u8], tag: [u8; 4], offset: usize, value: &[u8]) -> Snapshot {
     let mut out = bytes.to_vec();
     let at = section_payload(&out, tag) + offset;
     out[at..at + value.len()].copy_from_slice(value);
-    let body_len = out.len() - 8;
-    let sum = tm3270_encode::snapshot::snapshot_checksum(&out[..body_len]);
-    out[body_len..].copy_from_slice(&sum.to_le_bytes());
-    Snapshot::from_bytes(out)
+    sealed(out)
 }
 
 /// Offset of `row`, a dotted path of the machine's snapshot table, in
@@ -468,62 +501,46 @@ fn restore_accepts_every_bound_and_refuses_one_past_it() {
     }
 }
 
-/// Clocks and configuration echoes the engine never produces: each was
-/// accepted before the clock codec and the `watchdog_cycles` and
-/// `stats.freq_mhz` invariants, and each must now be refused as corrupt.
+/// Clocks and configuration echoes the engine never produces: clocks
+/// past [`SNAPSHOT_COUNT_LIMIT`], a watchdog of zero cycles and a clock
+/// rate other than the configuration's must be refused as corrupt.
 #[test]
 fn restore_refuses_clocks_and_echoes_the_engine_never_produces() {
     let (workload, config) = (&registry(1)[0], &MachineConfig::evaluation_suite()[0]);
     let mut m = build_cell(workload, config, true);
     let _ = m.run_with(RunOptions::budget(200)).into_result();
     let bytes = m.snapshot().into_bytes();
-    let probes: [(&str, [u8; 4], &str, [u8; 8]); 7] = [
+    let past = (SNAPSHOT_COUNT_LIMIT + 1).to_le_bytes();
+    let probes: [(&str, [u8; 4], &str, &[u8]); 5] = [
+        ("memory clock past the limit", *b"MEMS", "mem.now", &past),
         (
-            "write buffer occupancy +inf",
-            *b"MEMS",
-            "mem.cwb_pending",
-            f64::INFINITY.to_le_bytes(),
-        ),
-        (
-            "NaN data stall",
-            *b"MEMS",
-            "mem.stats.data_stall_cycles",
-            f64::NAN.to_le_bytes(),
-        ),
-        (
-            "NaN memory clock",
-            *b"MEMS",
-            "mem.now",
-            f64::NAN.to_le_bytes(),
-        ),
-        (
-            "negative stall",
-            *b"MEMS",
-            "mem.stall",
-            (-5.0f64).to_le_bytes(),
-        ),
-        (
-            "write buffer drained at 1e300",
+            "write buffer drained past the limit",
             *b"MEMS",
             "mem.cwb_last",
-            1e300f64.to_le_bytes(),
+            &past,
+        ),
+        (
+            "DRAM booked past the limit",
+            *b"MEMS",
+            "mem.dram.free_at",
+            &past,
         ),
         (
             "watchdog of zero cycles",
             *b"CORE",
             "watchdog_cycles",
-            0u64.to_le_bytes(),
+            &0u64.to_le_bytes(),
         ),
         (
             "clock rate other than the configuration's",
             *b"CORE",
             "stats.freq_mhz",
-            1.0f64.to_le_bytes(),
+            &1u32.to_le_bytes(),
         ),
     ];
     let mut target = build_cell(workload, config, false);
     for (what, tag, row, value) in probes {
-        let probe = reseal(&bytes, tag, row_offset(&m, row), &value);
+        let probe = reseal(&bytes, tag, row_offset(&m, row), value);
         assert!(
             matches!(target.restore(&probe), Err(SnapshotError::Corrupt { .. })),
             "{what}: must be refused as corrupt"
@@ -535,40 +552,40 @@ fn restore_refuses_clocks_and_echoes_the_engine_never_produces() {
 /// then one per golden kernel on configs A and D at the half-budget seam
 /// of `a_mid_run_snapshot_restores_to_a_bit_identical_completion`.
 const PINNED_SNAPSHOTS: &[(&str, usize, u64)] = &[
-    ("halt", 2222641, 0x5655577b20b8f58e),
-    ("budget seam", 2222641, 0xb8a77cf8f4cd4dda),
-    ("exec error", 70885, 0x19644a6cac7931ba),
-    ("watchdog", 71473, 0xfc4813480b32b272),
-    ("branch in delay slot", 70843, 0xe0a1b39342896324),
-    ("memset on TM3260 (config A)", 2222641, 0xb15e9819a3894e42),
-    ("memset on TM3270 (config D)", 2234161, 0xfbede5301f340c50),
-    ("memcpy on TM3260 (config A)", 2190272, 0x02467426f4e790ee),
-    ("memcpy on TM3270 (config D)", 2201275, 0x0a6ef825d8e46f14),
-    ("filter on TM3260 (config A)", 2195423, 0x7f282d1f538dd4ea),
-    ("filter on TM3270 (config D)", 2206959, 0x68649c3340ca34ef),
-    ("rgb2yuv on TM3260 (config A)", 2719814, 0x9fe2cd57f82a8bdc),
-    ("rgb2yuv on TM3270 (config D)", 2731309, 0xe38c2b9957f7c830),
-    ("rgb2cmyk on TM3260 (config A)", 2982005, 0x125013a117eed9f2),
-    ("rgb2cmyk on TM3270 (config D)", 2993453, 0xd9d294a7e80be355),
-    ("rgb2yiq on TM3260 (config A)", 2758239, 0x797702b41f94566b),
-    ("rgb2yiq on TM3270 (config D)", 2769707, 0xd29a31550aa0ad39),
-    ("mpeg2_a on TM3260 (config A)", 3740809, 0xf9e4a84afd5c7d63),
-    ("mpeg2_a on TM3270 (config D)", 3752319, 0x36b5c756c5e905ec),
-    ("mpeg2_b on TM3260 (config A)", 3740787, 0x07a3c7622060680c),
-    ("mpeg2_b on TM3270 (config D)", 3752322, 0xdae5d97af6f70fcb),
-    ("mpeg2_c on TM3260 (config A)", 3740824, 0xb769e84d117ba5fa),
-    ("mpeg2_c on TM3270 (config D)", 3752319, 0x5b67f7085c10efa3),
-    ("filmdet on TM3260 (config A)", 3378496, 0x1a1f12a714824e9e),
-    ("filmdet on TM3270 (config D)", 3390041, 0x1b91f832395643b1),
+    ("halt", 2222637, 0x2c6871a71a17bcb4),
+    ("budget seam", 2222637, 0x03ea8d5c978ef3a9),
+    ("exec error", 70881, 0x833a4b3f5aee3021),
+    ("watchdog", 71469, 0x49a50a8e948d3ae9),
+    ("branch in delay slot", 70839, 0x06fc73e4d6673ba7),
+    ("memset on TM3260 (config A)", 2222637, 0xde1879ca6050dea2),
+    ("memset on TM3270 (config D)", 2234157, 0xf2aa661f000addf5),
+    ("memcpy on TM3260 (config A)", 2190268, 0xeda9535303c9973a),
+    ("memcpy on TM3270 (config D)", 2201271, 0x8df43b726e95addc),
+    ("filter on TM3260 (config A)", 2195419, 0x6a32af9d2b6e4ce5),
+    ("filter on TM3270 (config D)", 2206955, 0x304fa8963421affd),
+    ("rgb2yuv on TM3260 (config A)", 2719802, 0x3754e0543c975621),
+    ("rgb2yuv on TM3270 (config D)", 2731305, 0x960ff55b142316b4),
+    ("rgb2cmyk on TM3260 (config A)", 2982001, 0x8248543fbd858a93),
+    ("rgb2cmyk on TM3270 (config D)", 2993449, 0x12950b76d298a7c5),
+    ("rgb2yiq on TM3260 (config A)", 2758242, 0x1ddf980dc71e9b69),
+    ("rgb2yiq on TM3270 (config D)", 2769703, 0x025d2076c45e725e),
+    ("mpeg2_a on TM3260 (config A)", 3740800, 0xb3094a2f0be0b8aa),
+    ("mpeg2_a on TM3270 (config D)", 3752315, 0xb4a08a1352fe660f),
+    ("mpeg2_b on TM3260 (config A)", 3740768, 0xdb242b3149724451),
+    ("mpeg2_b on TM3270 (config D)", 3752318, 0x8a87f54b63f2388d),
+    ("mpeg2_c on TM3260 (config A)", 3740820, 0x51133cb888ea70a6),
+    ("mpeg2_c on TM3270 (config D)", 3752315, 0xff73d33fd6c85426),
+    ("filmdet on TM3260 (config A)", 3378492, 0x2068644281933237),
+    ("filmdet on TM3270 (config D)", 3390037, 0xd53d43b13179244b),
     (
         "majority_sel on TM3260 (config A)",
-        3902799,
-        0xdd243a1e4ae143b2,
+        3902795,
+        0x218478d49cc3f29f,
     ),
     (
         "majority_sel on TM3270 (config D)",
-        3914304,
-        0x836ef9d9325a954c,
+        3914300,
+        0x55a5de8ccbb9c31c,
     ),
 ];
 
