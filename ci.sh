@@ -17,6 +17,9 @@ cargo test --release -q -p tm3270-isa
 echo "== cargo test --release (memory-model tick arithmetic and every pinned count, as benchmarked) =="
 cargo test --release -q -p tm3270-mem -p tm3270-kernels
 
+echo "== cargo test --release (event kinds, sink handle and per-PC issue counting, as benchmarked) =="
+cargo test --release -q -p tm3270-obs
+
 echo "== cargo test --release (traced engine and profiling, as benchmarked) =="
 cargo test --release -q --test profiling --test superblock_engine
 

@@ -12,9 +12,11 @@
 //!   kind. An upper bound on the disabled path's cost.
 //! * `counter` — a [`CounterSink`] attached alone (what `repro_profile`
 //!   pays without `--hotspots`), bound to [`CounterSink::READS`].
-//! * `profile` — a [`ProfileSink`] attached alone, bound to the four
-//!   kinds it reads (what per-PC attribution pays; `repro_profile
-//!   --hotspots` reads the union of both sinks' kinds).
+//! * `profile` — a [`ProfileSink`] attached alone, bound to what it
+//!   reads: per-PC issue counts staged at flush, stall ends, cache
+//!   misses and the watchdog (what per-PC attribution pays, and what
+//!   the benchmark's traced workload runs; `repro_profile --hotspots`
+//!   reads the union of both sinks' kinds).
 //!
 //! A timed rep repeats the run on fresh machines (built outside the
 //! timed scope) until it holds at least [`REP_TARGET`] of untraced

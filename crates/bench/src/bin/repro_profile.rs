@@ -25,16 +25,18 @@
 //! Every profiled run is checked for cycle conservation — the stall
 //! buckets must sum exactly to the run's total cycles, and with
 //! `--hotspots`/`--timeline` the per-PC buckets and interval deltas
-//! must too — and the profiler exits non-zero on any violation.
+//! must too. A workload that fails (it cannot be built for the
+//! configuration, its run or verification fails, or it violates
+//! conservation) is reported as a failed row in its place, beside the
+//! profiles that built, and the profiler then exits 1.
 
 use std::process::ExitCode;
 
 use tm3270_bench::cli::Spec;
 use tm3270_bench::profile::{
-    find_workload, golden_names, profile_kernel_with, workloads, Profile, ProfileOptions,
+    find_workload, golden_names, profile_sweep, workloads, FailedProfile, Profile, ProfileOptions,
 };
 use tm3270_core::MachineConfig;
-use tm3270_harness::{sweep, SweepOptions};
 
 struct Args {
     names: Vec<String>,
@@ -145,33 +147,13 @@ fn main() -> ExitCode {
         top: args.top,
         timeline: args.timeline,
     };
-    let opts = SweepOptions::new()
-        .threads(args.threads)
-        .progress("profiling");
-    let results = sweep(names.len(), &opts, |ctx| {
-        let name = &names[ctx.id];
-        // Kernels and sinks are built inside the job: neither is
-        // `Send`, but each lives and dies on one worker.
-        let kernel = find_workload(name).expect("validated above");
-        let profile = profile_kernel_with(kernel.as_ref(), &args.config, &popts)
-            .map_err(|e| format!("{name}: {e}"))?;
-        profile
-            .check_conservation()
-            .map_err(|e| format!("cycle conservation violated: {e}"))?;
-        Ok(profile)
-    });
-    let mut profiles: Vec<Profile> = Vec::new();
-    for result in results {
-        match result {
-            Ok(p) => profiles.push(p),
-            Err(e) => {
-                eprintln!("repro_profile: {e}");
-                return ExitCode::from(1);
-            }
-        }
+    let rows = profile_sweep(&names, &args.config, &popts, args.threads);
+    let failed: Vec<&FailedProfile> = rows.iter().filter_map(|r| r.as_ref().err()).collect();
+    for f in &failed {
+        eprintln!("repro_profile: {}: {}", f.workload, f.error);
     }
 
-    if let (Some(path), Some(profile)) = (&args.chrome_trace, profiles.first()) {
+    if let (Some(path), Some(Ok(profile))) = (&args.chrome_trace, rows.first()) {
         let trace = profile
             .chrome_trace
             .as_deref()
@@ -186,17 +168,37 @@ fn main() -> ExitCode {
     }
 
     if args.json {
-        let objects: Vec<String> = profiles.iter().map(Profile::to_json).collect();
+        let objects: Vec<String> = (rows.iter())
+            .map(|r| {
+                r.as_ref()
+                    .map_or_else(FailedProfile::to_json, Profile::to_json)
+            })
+            .collect();
         println!("[{}]", objects.join(","));
     } else {
-        for profile in &profiles {
-            print!("{}", profile.report());
+        for row in &rows {
+            print!(
+                "{}",
+                row.as_ref()
+                    .map_or_else(FailedProfile::report, Profile::report)
+            );
             println!();
         }
-        println!(
-            "OK: {} workload(s) profiled, stall buckets conserve cycles on all",
-            profiles.len()
-        );
+        let profiled = rows.len() - failed.len();
+        if failed.is_empty() {
+            println!("OK: {profiled} workload(s) profiled, stall buckets conserve cycles on all");
+        } else {
+            println!(
+                "FAILED: {} of {} workload(s) failed; {profiled} profiled, \
+                 stall buckets conserve cycles on those",
+                failed.len(),
+                rows.len()
+            );
+        }
     }
-    ExitCode::SUCCESS
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
 }

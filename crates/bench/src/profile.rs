@@ -32,6 +32,7 @@ use std::rc::Rc;
 use crate::experiments::table3_scale;
 use tm3270_core::counters::{self, *};
 use tm3270_core::{Machine, MachineConfig, RunOptions, RunStats};
+use tm3270_harness::{sweep, JobError, SweepOptions};
 use tm3270_kernels::{Kernel, KernelError, Workload};
 use tm3270_obs::{
     json, BlockProfile, ChromeTraceSink, CounterSink, FanoutSink, PcProfile, ProfileSink,
@@ -208,6 +209,80 @@ pub fn profile_kernel_with(
         timeline,
         chrome_trace,
     })
+}
+
+/// A profile-sweep job that built no profile: the workload cannot be
+/// built for, or run or verified on, the configuration, or its profile
+/// broke conservation. Reported as a row beside the profiles that built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FailedProfile {
+    /// Workload registry name.
+    pub workload: String,
+    /// Machine-configuration name.
+    pub config_name: &'static str,
+    /// Why the job failed.
+    pub error: JobError,
+}
+
+impl FailedProfile {
+    /// The text-report row.
+    pub fn report(&self) -> String {
+        format!(
+            "=== profile: {} on {} ===
+FAILED: {}
+",
+            self.workload, self.config_name, self.error
+        )
+    }
+
+    /// The JSON row: workload, config and a `failed` object naming the
+    /// [`JobError`] kind and its message.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"workload\":{},\"config\":{},\"failed\":{{\"kind\":{},\"error\":{}}}}}",
+            json::string(&self.workload),
+            json::string(self.config_name),
+            json::string(self.error.kind()),
+            json::string(&self.error.to_string())
+        )
+    }
+}
+
+/// Profiles each of `names` on `config` over the sweep engine
+/// (`threads`: 0 = every core, 1 = serial) and checks conservation of
+/// each profile. Rows come back in `names` order whatever the thread
+/// count; a failed job (an unknown name too) is a [`FailedProfile`]
+/// row and does not stop the others.
+pub fn profile_sweep(
+    names: &[String],
+    config: &MachineConfig,
+    opts: &ProfileOptions,
+    threads: usize,
+) -> Vec<Result<Profile, FailedProfile>> {
+    let sweep_opts = SweepOptions::new().threads(threads).progress("profiling");
+    let results = sweep(names.len(), &sweep_opts, |ctx| {
+        // Kernels and sinks are built inside the job: neither is
+        // `Send`, but each lives and dies on one worker.
+        let name = &names[ctx.id];
+        let kernel = find_workload(name).ok_or_else(|| format!("unknown workload {name}"))?;
+        let profile =
+            profile_kernel_with(kernel.as_ref(), config, opts).map_err(|e| e.to_string())?;
+        profile
+            .check_conservation()
+            .map_err(|e| format!("cycle conservation violated: {e}"))?;
+        Ok(profile)
+    });
+    names
+        .iter()
+        .zip(results)
+        .map(|(name, result)| {
+            result.map_err(|error| FailedProfile {
+                workload: name.clone(),
+                config_name: config.name,
+                error,
+            })
+        })
+        .collect()
 }
 
 impl Profile {

@@ -1077,7 +1077,8 @@ impl Machine {
     /// Monomorphized over `TRACING`: the `false` instantiation contains
     /// no emission code at all; the `true` one tags memory events with
     /// the issuing pc and emits the `IFetch` stall, `OpDispatch` and
-    /// `BranchResolve` per op, `InstrIssue`, the `Data` stall and
+    /// `BranchResolve` per op, the issue ([`SinkHandle::issue`]: an
+    /// `InstrIssue`, a per-PC count, or both), the `Data` stall and
     /// `WatchdogFired`, in that order. The per-op events are skipped
     /// outright when the bound sink reads neither kind.
     fn run_fused<const TRACING: bool>(&mut self, budget: u64) -> Result<(), SimError> {
@@ -1328,11 +1329,7 @@ impl Machine {
             }
 
             if TRACING {
-                self.sink.emit(TraceEvent::InstrIssue {
-                    cycle: issue_cycle,
-                    pc: ipc,
-                    ops: exec_here,
-                });
+                self.sink.issue(issue_cycle, ipc, exec_here);
             }
             let dstall = if mem_active { self.mem.take_stall() } else { 0 };
             if TRACING && dstall > 0 {

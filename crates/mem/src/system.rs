@@ -400,6 +400,15 @@ impl MemorySystem {
         }
     }
 
+    /// Whether the bound sink reads a `CacheAccess` with `lookup`'s
+    /// outcome (a sink may read misses alone). Asked after the lookup,
+    /// so no event is built for an outcome nobody reads.
+    #[inline]
+    fn wants_access(&self, lookup: Lookup) -> bool {
+        self.sink
+            .wants(EventKinds::cache_outcome(outcome_of(lookup)))
+    }
+
     /// Outlined `CacheAccess` emission for the data cache — keeps the
     /// untraced demand-access path compact (the disabled path pays only
     /// the `wants()` branch at the call site).
@@ -417,7 +426,8 @@ impl MemorySystem {
     }
 
     /// One line-confined segment of a demand load: lookup, optional
-    /// trace emission, demand fill on a miss.
+    /// trace emission (`tracing`: the sink reads some cache outcome),
+    /// demand fill on a miss.
     #[inline]
     fn load_segment(&mut self, a: u32, n: u32, tracing: bool, geom: CacheGeometry) {
         let pf_before = if tracing {
@@ -426,7 +436,7 @@ impl MemorySystem {
             0
         };
         let lookup = self.dcache.lookup(a, n);
-        if tracing {
+        if tracing && self.wants_access(lookup) {
             let prefetch_hit = self.dcache.stats().prefetch_hits > pf_before;
             self.emit_cache_access(a, lookup, prefetch_hit);
         }
@@ -472,7 +482,7 @@ impl MemorySystem {
     #[inline]
     fn store_segment(&mut self, a: u32, n: u32, tracing: bool, geom: CacheGeometry) {
         let lookup = self.dcache.lookup_write(a, n);
-        if tracing {
+        if tracing && self.wants_access(lookup) {
             self.emit_cache_access(a, lookup, false);
         }
         if lookup != Lookup::Miss {
@@ -533,7 +543,7 @@ impl MemorySystem {
     #[inline]
     fn fetch_segment(&mut self, t: u64, a: u32, n: u32, geom: CacheGeometry) -> u64 {
         let lookup = self.icache.lookup(a, n);
-        if self.sink.wants(EventKinds::CACHE_ACCESS) {
+        if self.sink.wants(EventKinds::CACHE_ACCESS) && self.wants_access(lookup) {
             self.sink.emit(TraceEvent::CacheAccess {
                 cycle: self.cycle_of(t),
                 cache: CacheId::Instr,

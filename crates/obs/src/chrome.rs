@@ -17,6 +17,9 @@
 //!
 //! Timestamps are the simulated cycle number, reported in microseconds
 //! (1 cycle = 1 µs) so the viewer's time axis reads directly in cycles.
+//! Per-PC issue counts (`IssueCount`, which a fan-out may deliver) carry
+//! no timestamp and are not buffered; the issue instants show the same
+//! issues.
 
 use crate::event::{StallCause, TraceEvent};
 use crate::json;
@@ -258,12 +261,16 @@ impl ChromeTraceSink {
                     ),
                 ));
             }
+            TraceEvent::IssueCount { .. } => {}
         }
     }
 }
 
 impl TraceSink for ChromeTraceSink {
     fn event(&mut self, event: &TraceEvent) {
+        if let TraceEvent::IssueCount { .. } = event {
+            return;
+        }
         if self.events.len() >= self.limit {
             self.dropped += 1;
             return;

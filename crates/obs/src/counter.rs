@@ -5,7 +5,9 @@
 //! per-kind DRAM traffic, watchdog firings and fault flips. Cache hits,
 //! prefetches issued and branches are `RunStats` counts, so the sink
 //! binds to [`CounterSink::READS`] and a run it observes alone does not
-//! build those events.
+//! build those events. Its issue bucket sums the per-PC
+//! `IssueCount` events the handle stages when it drains, so a run it
+//! observes builds no `InstrIssue` either.
 
 use crate::event::{CacheId, EventKinds, MemTxKind, StallCause, TraceEvent};
 use crate::sink::TraceSink;
@@ -78,6 +80,8 @@ pub struct DramCount {
 /// the [`StallBuckets`] cycle decomposition.
 #[derive(Debug, Clone, Default)]
 pub struct CounterSink {
+    /// Stall cycles; `issue` holds every issue and `watchdog_idle` every
+    /// idle window reported, split by [`CounterSink::buckets`].
     buckets: StallBuckets,
     /// Operations dispatched per issue slot (guard true or false).
     pub ops_per_slot: [u64; SLOTS],
@@ -116,7 +120,7 @@ pub struct CounterSink {
 impl CounterSink {
     /// The event kinds the sink reads, returned by its
     /// [`TraceSink::bind`].
-    pub const READS: EventKinds = EventKinds::INSTR_ISSUE
+    pub const READS: EventKinds = EventKinds::ISSUE_COUNT
         .union(EventKinds::OP_DISPATCH)
         .union(EventKinds::STALL_END)
         .union(EventKinds::CACHE_EVICT)
@@ -130,9 +134,17 @@ impl CounterSink {
         CounterSink::default()
     }
 
-    /// The cycle decomposition accumulated so far.
+    /// The cycle decomposition accumulated so far. The watchdog's idle
+    /// window is moved out of the issue bucket here, not when the
+    /// `WatchdogFired` event arrives, because the issue counts of the
+    /// aborted run arrive after it.
     pub fn buckets(&self) -> StallBuckets {
-        self.buckets
+        let moved = self.buckets.watchdog_idle.min(self.buckets.issue);
+        StallBuckets {
+            issue: self.buckets.issue - moved,
+            watchdog_idle: moved,
+            ..self.buckets
+        }
     }
 
     /// Per-functional-unit dispatch counts, keyed by unit name (sorted).
@@ -179,7 +191,7 @@ impl TraceSink for CounterSink {
     fn event(&mut self, event: &TraceEvent) {
         self.events += 1;
         match *event {
-            TraceEvent::InstrIssue { .. } => self.buckets.issue += 1,
+            TraceEvent::IssueCount { issues, .. } => self.buckets.issue += issues,
             TraceEvent::OpDispatch {
                 slot,
                 unit,
@@ -226,12 +238,11 @@ impl TraceSink for CounterSink {
                 d.bytes += bytes as u64;
             }
             TraceEvent::WatchdogFired { idle, .. } => {
+                // The no-progress window is reclassified out of the issue
+                // bucket when the buckets are read, so the decomposition
+                // stays exact.
                 self.watchdog_fired += 1;
-                // Reclassify the no-progress window out of the issue
-                // bucket so the decomposition stays exact.
-                let moved = idle.min(self.buckets.issue);
-                self.buckets.issue -= moved;
-                self.buckets.watchdog_idle += moved;
+                self.buckets.watchdog_idle += idle;
             }
             TraceEvent::FaultFlip { .. } => self.fault_flips += 1,
             _ => {}
@@ -252,13 +263,20 @@ mod tests {
     #[test]
     fn buckets_accumulate_and_conserve() {
         let mut c = CounterSink::new();
-        for cycle in 0..10u64 {
-            c.event(&TraceEvent::InstrIssue {
-                cycle,
-                pc: cycle as usize,
-                ops: 2,
+        for pc in 0..10 {
+            c.event(&TraceEvent::IssueCount {
+                pc,
+                issues: 1,
+                exec_ops: 2,
             });
         }
+        // Per-instruction events are not counted, even when a fan-out
+        // delivers them: the issue counts already hold them.
+        c.event(&TraceEvent::InstrIssue {
+            cycle: 0,
+            pc: 0,
+            ops: 2,
+        });
         c.event(&TraceEvent::StallEnd {
             cycle: 10,
             cause: StallCause::IFetch,
@@ -282,17 +300,16 @@ mod tests {
     #[test]
     fn watchdog_reclassifies_idle_cycles() {
         let mut c = CounterSink::new();
-        for cycle in 0..100u64 {
-            c.event(&TraceEvent::InstrIssue {
-                cycle,
-                pc: 0,
-                ops: 0,
-            });
-        }
         c.event(&TraceEvent::WatchdogFired {
             cycle: 100,
             pc: 0,
             idle: 60,
+        });
+        // The aborted run's issues arrive when the handle drains.
+        c.event(&TraceEvent::IssueCount {
+            pc: 0,
+            issues: 100,
+            exec_ops: 0,
         });
         let b = c.buckets();
         assert_eq!(b.issue, 40);

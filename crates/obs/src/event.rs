@@ -115,7 +115,10 @@ impl MemTxKind {
     }
 }
 
-/// A set of [`TraceEvent`] kinds, one bit per variant.
+/// A set of [`TraceEvent`] kinds, one bit per variant, except that
+/// [`TraceEvent::CacheAccess`] has two: [`EventKinds::CACHE_MISS`] for
+/// a miss and another for hits and partial hits, which together make up
+/// [`EventKinds::CACHE_ACCESS`].
 ///
 /// A sink returns the kinds it reads from
 /// [`TraceSink::bind`](crate::TraceSink::bind); the
@@ -136,8 +139,9 @@ impl EventKinds {
     pub const STALL_BEGIN: EventKinds = EventKinds(1 << 2);
     /// [`TraceEvent::StallEnd`].
     pub const STALL_END: EventKinds = EventKinds(1 << 3);
-    /// [`TraceEvent::CacheAccess`].
-    pub const CACHE_ACCESS: EventKinds = EventKinds(1 << 4);
+    /// [`TraceEvent::CacheAccess`], every outcome: the union of
+    /// [`EventKinds::CACHE_MISS`] and the hit and partial-hit bit.
+    pub const CACHE_ACCESS: EventKinds = EventKinds(CACHE_HIT | EventKinds::CACHE_MISS.0);
     /// [`TraceEvent::CacheEvict`].
     pub const CACHE_EVICT: EventKinds = EventKinds(1 << 5);
     /// [`TraceEvent::PrefetchIssue`].
@@ -152,8 +156,29 @@ impl EventKinds {
     pub const WATCHDOG_FIRED: EventKinds = EventKinds(1 << 10);
     /// [`TraceEvent::FaultFlip`].
     pub const FAULT_FLIP: EventKinds = EventKinds(1 << 11);
-    /// Every kind.
-    pub const ALL: EventKinds = EventKinds((1 << 12) - 1);
+    /// [`TraceEvent::CacheAccess`] whose outcome is
+    /// [`CacheOutcome::Miss`]; part of [`EventKinds::CACHE_ACCESS`].
+    pub const CACHE_MISS: EventKinds = EventKinds(1 << 12);
+    /// Every kind a producer emits in cycle order: all but
+    /// [`EventKinds::ISSUE_COUNT`].
+    pub const ALL: EventKinds = EventKinds((1 << 13) - 1);
+    /// [`TraceEvent::IssueCount`]. Not in [`EventKinds::ALL`]: a sink
+    /// gets these only if it asks for them. They arrive when the handle
+    /// drains ([`SinkHandle::flush`](crate::SinkHandle::flush)), after
+    /// the events of the instructions they count, so they suit only
+    /// sinks that sum and do not depend on event order.
+    pub const ISSUE_COUNT: EventKinds = EventKinds(1 << 13);
+
+    /// The kind bit of a [`TraceEvent::CacheAccess`] with `outcome`:
+    /// [`EventKinds::CACHE_MISS`] for a miss, the other half of
+    /// [`EventKinds::CACHE_ACCESS`] otherwise.
+    #[inline]
+    pub const fn cache_outcome(outcome: CacheOutcome) -> EventKinds {
+        match outcome {
+            CacheOutcome::Miss => EventKinds::CACHE_MISS,
+            CacheOutcome::Hit | CacheOutcome::PartialHit => EventKinds(CACHE_HIT),
+        }
+    }
 
     /// The kinds in `self` or `other` (`|` in const context).
     #[inline]
@@ -173,6 +198,10 @@ impl EventKinds {
         self.0 & other.0 != 0
     }
 }
+
+/// The [`EventKinds`] bit of a [`TraceEvent::CacheAccess`] that hit or
+/// partially hit.
+const CACHE_HIT: u16 = 1 << 4;
 
 impl std::ops::BitOr for EventKinds {
     type Output = EventKinds;
@@ -313,6 +342,20 @@ pub enum TraceEvent {
         /// Whether the branch was taken.
         taken: bool,
     },
+    /// How often one VLIW instruction issued since the last drain of
+    /// the handle. Staged when the handle drains, one per instruction
+    /// that issued, for sinks bound to [`EventKinds::ISSUE_COUNT`]; the
+    /// sum over a run's `IssueCount` events equals its `InstrIssue`
+    /// events counted per `pc`.
+    IssueCount {
+        /// VLIW instruction index.
+        pc: usize,
+        /// Times the instruction issued.
+        issues: u64,
+        /// Operations whose guard was true, summed over those issues
+        /// (the `ops` of the matching `InstrIssue` events).
+        exec_ops: u64,
+    },
     /// The livelock watchdog fired (the run ends in `NoProgress`).
     WatchdogFired {
         /// Cycle at which the watchdog fired.
@@ -335,8 +378,8 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The cycle stamp of the event, as `f64` (integer-cycle events are
-    /// widened; [`TraceEvent::FaultFlip`] has no timestamp and reports
-    /// 0).
+    /// widened; [`TraceEvent::IssueCount`] and [`TraceEvent::FaultFlip`]
+    /// have no timestamp and report 0).
     pub fn cycle(&self) -> f64 {
         match *self {
             TraceEvent::InstrIssue { cycle, .. }
@@ -350,7 +393,7 @@ impl TraceEvent {
             | TraceEvent::PrefetchIssue { cycle, .. }
             | TraceEvent::PrefetchLate { cycle, .. }
             | TraceEvent::DramTransaction { cycle, .. } => cycle,
-            TraceEvent::FaultFlip { .. } => 0.0,
+            TraceEvent::IssueCount { .. } | TraceEvent::FaultFlip { .. } => 0.0,
         }
     }
 
@@ -362,12 +405,13 @@ impl TraceEvent {
             TraceEvent::OpDispatch { .. } => EventKinds::OP_DISPATCH,
             TraceEvent::StallBegin { .. } => EventKinds::STALL_BEGIN,
             TraceEvent::StallEnd { .. } => EventKinds::STALL_END,
-            TraceEvent::CacheAccess { .. } => EventKinds::CACHE_ACCESS,
+            TraceEvent::CacheAccess { outcome, .. } => EventKinds::cache_outcome(*outcome),
             TraceEvent::CacheEvict { .. } => EventKinds::CACHE_EVICT,
             TraceEvent::PrefetchIssue { .. } => EventKinds::PREFETCH_ISSUE,
             TraceEvent::PrefetchLate { .. } => EventKinds::PREFETCH_LATE,
             TraceEvent::DramTransaction { .. } => EventKinds::DRAM_TRANSACTION,
             TraceEvent::BranchResolve { .. } => EventKinds::BRANCH_RESOLVE,
+            TraceEvent::IssueCount { .. } => EventKinds::ISSUE_COUNT,
             TraceEvent::WatchdogFired { .. } => EventKinds::WATCHDOG_FIRED,
             TraceEvent::FaultFlip { .. } => EventKinds::FAULT_FLIP,
         }
@@ -386,6 +430,7 @@ impl TraceEvent {
             TraceEvent::PrefetchLate { .. } => "prefetch_late",
             TraceEvent::DramTransaction { .. } => "dram_transaction",
             TraceEvent::BranchResolve { .. } => "branch_resolve",
+            TraceEvent::IssueCount { .. } => "issue_count",
             TraceEvent::WatchdogFired { .. } => "watchdog_fired",
             TraceEvent::FaultFlip { .. } => "fault_flip",
         }
@@ -446,5 +491,37 @@ mod tests {
         }
         assert!(seen.contains(EventKinds::INSTR_ISSUE | EventKinds::FAULT_FLIP));
         assert!(!seen.intersects(EventKinds::OP_DISPATCH));
+    }
+
+    #[test]
+    fn cache_access_kind_follows_the_outcome() {
+        let access = |outcome| TraceEvent::CacheAccess {
+            cycle: 0.0,
+            cache: CacheId::Data,
+            addr: 0,
+            outcome,
+            prefetch_hit: false,
+            pc: 0,
+        };
+        let miss = access(CacheOutcome::Miss).kind_bit();
+        assert_eq!(miss, EventKinds::CACHE_MISS);
+        for outcome in [CacheOutcome::Hit, CacheOutcome::PartialHit] {
+            let hit = access(outcome).kind_bit();
+            assert!(!hit.intersects(miss), "{}", outcome.name());
+            assert_eq!(hit | miss, EventKinds::CACHE_ACCESS);
+        }
+        assert!(EventKinds::ALL.contains(EventKinds::CACHE_ACCESS));
+    }
+
+    #[test]
+    fn issue_counts_are_asked_for_not_implied_by_all() {
+        let e = TraceEvent::IssueCount {
+            pc: 3,
+            issues: 7,
+            exec_ops: 12,
+        };
+        assert_eq!(e.kind_bit(), EventKinds::ISSUE_COUNT);
+        assert!(!EventKinds::ALL.intersects(EventKinds::ISSUE_COUNT));
+        assert_eq!((e.kind(), e.cycle()), ("issue_count", 0.0));
     }
 }

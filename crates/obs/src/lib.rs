@@ -48,13 +48,27 @@
 //! [`EventKinds`] set. The handle then drops every other kind before
 //! staging it, and the simulator and memory system skip building the
 //! per-op and cache-access events no bound sink reads
-//! ([`SinkHandle::wants`]). [`ProfileSink`] reads four kinds, so a run
-//! profiled by it alone builds about two events per instruction;
-//! [`CounterSink`] reads the eight kinds it counts; the other built-in
-//! sinks read every kind, and a [`FanoutSink`] reads the union of its
-//! children. A handle that is never bound delivers everything.
-//! Counts the model keeps exactly (cache hits, branches, DRAM totals…)
-//! live in `tm3270_core::RunStats`; sinks count only what needs events.
+//! ([`SinkHandle::wants`]). Kinds can be finer than variants:
+//! [`EventKinds::CACHE_MISS`] is the part of
+//! [`EventKinds::CACHE_ACCESS`] whose outcome is a miss, and the memory
+//! system builds a cache-access event only for an outcome the sink
+//! reads. A sink gets [`EventKinds::ISSUE_COUNT`] only if it asks for
+//! it (it is not in [`EventKinds::ALL`]): instead of one `InstrIssue`
+//! per instruction, the handle sums issues per PC
+//! ([`SinkHandle::issue`]) and stages one [`TraceEvent::IssueCount`] per
+//! PC when it drains. These arrive at flush, out of cycle order, so
+//! they suit only sinks that sum and do not depend on event order.
+//!
+//! [`ProfileSink`] reads issue counts, stall ends, cache misses and the
+//! watchdog, so a run profiled by it alone builds a few events per
+//! hundred instructions; [`CounterSink`] reads issue counts and the
+//! seven event kinds it counts; the other built-in sinks read every kind
+//! in [`EventKinds::ALL`], and a [`FanoutSink`] reads the union of its
+//! children (children that did not ask for issue counts ignore them).
+//! A handle that is never bound delivers everything in
+//! [`EventKinds::ALL`]. Counts the model keeps exactly (cache hits,
+//! branches, DRAM totals…) live in `tm3270_core::RunStats`; sinks count
+//! only what needs events.
 //!
 //! # Examples
 //!
@@ -65,15 +79,19 @@
 //!
 //! let counter = Rc::new(RefCell::new(CounterSink::new()));
 //! let handle = SinkHandle::from(counter.clone());
-//! // A producer (normally the simulator) emits cycle-stamped events:
-//! handle.emit_with(|| TraceEvent::InstrIssue { cycle: 0, pc: 0, ops: 2 });
+//! // Binding (normally `Machine::attach_sink`) asks the sink what it
+//! // reads: one instruction of two operations here.
+//! handle.bind(&[2]);
+//! // A producer (normally the simulator) reports issues and emits
+//! // cycle-stamped events:
+//! handle.issue(0, 0, 2);
 //! handle.emit_with(|| TraceEvent::StallEnd {
 //!     cycle: 5,
 //!     cause: StallCause::Data,
 //!     cycles: 4,
 //!     pc: 0,
 //! });
-//! handle.flush(); // drain the staging buffer before reading
+//! handle.flush(); // stage the issue counts and drain before reading
 //! let buckets = counter.borrow().buckets();
 //! assert_eq!(buckets.issue, 1);
 //! assert_eq!(buckets.data_stall, 4);

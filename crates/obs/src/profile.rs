@@ -17,10 +17,16 @@
 //! [`ProfileSink::hotspots`]; the sums are preserved, so the top-N
 //! report inherits the conservation guarantee.
 //!
-//! The sink reads four event kinds ([`ProfileSink::READS`]). Operation
-//! counts come from `InstrIssue` and the per-instruction op table the
-//! sink is bound with ([`TraceSink::bind`]), not from per-op events, so
-//! a run bound to this sink alone builds no `OpDispatch` events.
+//! The sink reads [`ProfileSink::READS`]: per-PC issue counts
+//! (`IssueCount`, summed by the handle and delivered when it drains),
+//! `StallEnd`, cache misses alone (`CACHE_MISS`, not every
+//! `CacheAccess`) and `WatchdogFired`. Operation counts come from the
+//! issue counts and the per-instruction op table the sink is bound with
+//! ([`TraceSink::bind`]), not from per-op events. Bound alone, a run
+//! builds no `InstrIssue`, `OpDispatch` or cache-hit events: a few
+//! events per hundred instructions on the golden kernels. Every kind it
+//! reads is summed, so the order the issue counts arrive in does not
+//! matter.
 
 use crate::event::{CacheId, CacheOutcome, EventKinds, StallCause, TraceEvent};
 use crate::sink::TraceSink;
@@ -36,12 +42,12 @@ pub struct PcProfile {
     /// Data-side stall cycles caused by this instruction's operations.
     pub data_stall: u64,
     /// Operations dispatched from this instruction (guard true or
-    /// false): its static op count from the bound op table, added per
-    /// `InstrIssue`. An instruction stopped by an execution error emits
-    /// no `InstrIssue` and adds nothing, though `RunStats.ops` counts it.
+    /// false): its static op count from the bound op table, times its
+    /// issues. An instruction stopped by an execution error does not
+    /// issue and adds nothing, though `RunStats.ops` counts it.
     pub ops: u64,
-    /// Operations whose guard was true: the `ops` field of each
-    /// `InstrIssue` (same exec-error rule as [`PcProfile::ops`]).
+    /// Operations whose guard was true: the `exec_ops` of its
+    /// `IssueCount` events (same exec-error rule as [`PcProfile::ops`]).
     pub exec_ops: u64,
     /// Data-cache misses requested by this instruction.
     pub dcache_misses: u64,
@@ -98,9 +104,9 @@ pub struct ProfileSink {
 impl ProfileSink {
     /// The event kinds the sink reads, returned by its
     /// [`TraceSink::bind`].
-    pub const READS: EventKinds = EventKinds::INSTR_ISSUE
+    pub const READS: EventKinds = EventKinds::ISSUE_COUNT
         .union(EventKinds::STALL_END)
-        .union(EventKinds::CACHE_ACCESS)
+        .union(EventKinds::CACHE_MISS)
         .union(EventKinds::WATCHDOG_FIRED);
 
     /// A profile sink preallocated for a program of `program_len` VLIW
@@ -200,12 +206,16 @@ impl TraceSink for ProfileSink {
     fn event(&mut self, event: &TraceEvent) {
         self.events += 1;
         match *event {
-            TraceEvent::InstrIssue { pc, ops, .. } => {
+            TraceEvent::IssueCount {
+                pc,
+                issues,
+                exec_ops,
+            } => {
                 let static_ops = self.ops_per_instr.get(pc).copied().unwrap_or(0);
                 let p = self.at(pc);
-                p.issue += 1;
-                p.ops += u64::from(static_ops);
-                p.exec_ops += u64::from(ops);
+                p.issue += issues;
+                p.ops += issues * u64::from(static_ops);
+                p.exec_ops += exec_ops;
             }
             TraceEvent::StallEnd {
                 pc, cause, cycles, ..
@@ -242,8 +252,13 @@ impl TraceSink for ProfileSink {
 mod tests {
     use super::*;
 
-    fn issue(cycle: u64, pc: usize) -> TraceEvent {
-        TraceEvent::InstrIssue { cycle, pc, ops: 1 }
+    /// `issues` issues of `pc`, one guard-true op each.
+    fn issued(pc: usize, issues: u64) -> TraceEvent {
+        TraceEvent::IssueCount {
+            pc,
+            issues,
+            exec_ops: issues,
+        }
     }
 
     #[test]
@@ -256,16 +271,16 @@ mod tests {
             cycles: 2,
             pc: 0,
         });
-        p.event(&issue(2, 0));
-        p.event(&issue(3, 1));
         p.event(&TraceEvent::StallEnd {
             cycle: 7,
             cause: StallCause::Data,
             cycles: 3,
             pc: 1,
         });
-        p.event(&issue(7, 2));
-        p.event(&issue(8, 2));
+        // The counts arrive when the handle drains, after the stalls.
+        p.event(&issued(0, 1));
+        p.event(&issued(1, 1));
+        p.event(&issued(2, 2));
         assert_eq!(p.per_pc()[0].cycles(), 3);
         assert_eq!(p.per_pc()[1].cycles(), 4);
         assert_eq!(p.per_pc()[2].cycles(), 2);
@@ -276,17 +291,18 @@ mod tests {
     fn op_counts_come_from_the_bound_table() {
         let mut p = ProfileSink::new(2);
         assert_eq!(p.bind(&[5, 2]), ProfileSink::READS);
-        p.event(&TraceEvent::InstrIssue {
-            cycle: 0,
+        p.event(&TraceEvent::IssueCount {
             pc: 0,
-            ops: 3,
+            issues: 2,
+            exec_ops: 8,
         });
+        // Per-instruction and per-op events are not read, even when a
+        // fan-out delivers them: the issue counts already hold them.
         p.event(&TraceEvent::InstrIssue {
             cycle: 1,
             pc: 0,
             ops: 5,
         });
-        // Per-op events are not read, even when a fan-out delivers them.
         p.event(&TraceEvent::OpDispatch {
             cycle: 1,
             pc: 1,
@@ -295,16 +311,41 @@ mod tests {
             mnemonic: "iadd",
             executed: true,
         });
+        assert_eq!(p.per_pc()[0].issue, 2);
         assert_eq!((p.per_pc()[0].ops, p.per_pc()[0].exec_ops), (10, 8));
         assert_eq!(p.per_pc()[1], PcProfile::default());
         assert_eq!(p.events(), 3, "events delivered");
     }
 
     #[test]
+    fn only_misses_are_counted() {
+        let mut p = ProfileSink::new(2);
+        for (cache, outcome) in [
+            (CacheId::Data, CacheOutcome::Miss),
+            (CacheId::Data, CacheOutcome::Hit),
+            (CacheId::Data, CacheOutcome::PartialHit),
+            (CacheId::Instr, CacheOutcome::Miss),
+            (CacheId::Instr, CacheOutcome::Miss),
+        ] {
+            p.event(&TraceEvent::CacheAccess {
+                cycle: 0.0,
+                cache,
+                addr: 0,
+                outcome,
+                prefetch_hit: false,
+                pc: 1,
+            });
+        }
+        let at = p.per_pc()[1];
+        assert_eq!((at.dcache_misses, at.icache_misses), (1, 2));
+        assert_eq!(at.cycles(), 0);
+    }
+
+    #[test]
     fn blocks_split_at_jump_targets_and_preserve_sums() {
         let mut p = ProfileSink::new(6);
         for pc in 0..6 {
-            p.event(&issue(pc as u64, pc));
+            p.event(&issued(pc, 1));
         }
         // Jump targets at 2 and 4 → spans [0,2) [2,4) [4,6).
         let blocks = p.blocks(&[0..2, 2..4, 4..6]);
@@ -319,8 +360,8 @@ mod tests {
     #[test]
     fn pcs_past_the_program_end_fold_into_the_last_span() {
         let mut p = ProfileSink::new(4);
-        p.event(&issue(0, 1));
-        p.event(&issue(1, 9));
+        p.event(&issued(1, 1));
+        p.event(&issued(9, 1));
         let blocks = p.blocks(&[0..2, 2..4]);
         assert_eq!(
             blocks.iter().map(|b| (b.start, b.end)).collect::<Vec<_>>(),
@@ -332,11 +373,9 @@ mod tests {
     fn hotspots_rank_by_cycles_and_skip_cold_blocks() {
         let mut p = ProfileSink::new(6);
         // Block [0,2) cold; [2,4) gets 5 cycles; [4,6) gets 2.
-        for _ in 0..5 {
-            p.event(&issue(0, 3));
-        }
-        p.event(&issue(0, 4));
-        p.event(&issue(1, 5));
+        p.event(&issued(3, 5));
+        p.event(&issued(4, 1));
+        p.event(&issued(5, 1));
         let spans = [0..2, 2..4, 4..6];
         let hot = p.hotspots(&spans, 10);
         assert_eq!(hot.len(), 2, "cold block omitted");
@@ -350,7 +389,7 @@ mod tests {
     #[test]
     fn out_of_range_pc_grows_the_table() {
         let mut p = ProfileSink::new(2);
-        p.event(&issue(0, 10));
+        p.event(&issued(10, 1));
         assert_eq!(p.per_pc().len(), 11);
         assert_eq!(p.total_cycles(), 1);
     }
@@ -358,14 +397,13 @@ mod tests {
     #[test]
     fn watchdog_is_recorded_but_not_double_counted() {
         let mut p = ProfileSink::new(2);
-        for c in 0..10 {
-            p.event(&issue(c, 1));
-        }
         p.event(&TraceEvent::WatchdogFired {
             cycle: 10,
             pc: 1,
             idle: 10,
         });
+        // The aborted run's issues arrive when the handle drains.
+        p.event(&issued(1, 10));
         assert_eq!(p.total_cycles(), 10);
         assert_eq!(p.watchdog_idle(), 10);
         assert_eq!(p.watchdog_pc(), Some(1));

@@ -13,8 +13,11 @@ pub const EMIT_BATCH: usize = 64;
 
 /// A consumer of trace events.
 ///
-/// Sinks receive events by reference in emission order. A sink must not
-/// re-enter the producer (the simulator is mid-step when it emits).
+/// Sinks receive events by reference in emission order; the per-PC
+/// [`TraceEvent::IssueCount`] sums, which only a sink bound to
+/// [`EventKinds::ISSUE_COUNT`] asks for, come when the handle drains. A
+/// sink must not re-enter the producer (the simulator is mid-step when
+/// it emits).
 pub trait TraceSink {
     /// Consumes one event.
     fn event(&mut self, event: &TraceEvent);
@@ -58,10 +61,15 @@ impl TraceSink for NullSink {
 }
 
 /// The staging buffer shared by every clone of a [`SinkHandle`]: a
-/// fixed-capacity event queue plus the sink it drains into.
+/// fixed-capacity event queue plus the sink it drains into, and the
+/// per-PC issue counts not yet staged as [`TraceEvent::IssueCount`].
 struct Staged {
     buf: Vec<TraceEvent>,
     inner: Rc<RefCell<dyn TraceSink>>,
+    /// `(issues, exec_ops)` per PC since the last drain.
+    counts: Vec<(u64, u64)>,
+    /// The PCs with a nonzero entry in `counts`.
+    touched: Vec<usize>,
 }
 
 /// What every clone of a [`SinkHandle`] shares: the kinds the sink was
@@ -77,16 +85,52 @@ impl Shared {
     #[inline]
     fn push(&self, event: TraceEvent) {
         if self.kinds.get().contains(event.kind_bit()) {
-            let mut s = self.staged.borrow_mut();
-            s.buf.push(event);
-            if s.buf.len() == EMIT_BATCH {
-                s.flush();
-            }
+            self.staged.borrow_mut().stage(event);
         }
     }
 }
 
 impl Staged {
+    /// Adds one issue of `pc` with `exec_ops` guard-true operations.
+    #[inline]
+    fn count(&mut self, pc: usize, exec_ops: u8) {
+        if pc >= self.counts.len() {
+            self.counts.resize(pc + 1, (0, 0));
+        }
+        let c = &mut self.counts[pc];
+        if c.0 == 0 {
+            self.touched.push(pc);
+        }
+        c.0 += 1;
+        c.1 += u64::from(exec_ops);
+    }
+
+    /// Stages one [`TraceEvent::IssueCount`] per touched PC, in PC
+    /// order, then hands every staged event to the sink.
+    fn drain(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        for &pc in &touched {
+            let (issues, exec_ops) = std::mem::take(&mut self.counts[pc]);
+            self.stage(TraceEvent::IssueCount {
+                pc,
+                issues,
+                exec_ops,
+            });
+        }
+        touched.clear();
+        self.touched = touched;
+        self.flush();
+    }
+
+    #[inline]
+    fn stage(&mut self, event: TraceEvent) {
+        self.buf.push(event);
+        if self.buf.len() == EMIT_BATCH {
+            self.flush();
+        }
+    }
+
     fn flush(&mut self) {
         if !self.buf.is_empty() {
             self.inner.borrow_mut().batch(&self.buf);
@@ -116,6 +160,11 @@ impl Staged {
 /// every run (including crash paths), so callers stepping a machine by
 /// hand and reading a sink mid-run should flush first.
 ///
+/// A sink bound to [`EventKinds::ISSUE_COUNT`] gets instruction issues
+/// as per-PC sums: [`SinkHandle::issue`] adds to a per-PC table beside
+/// the buffer, and [`SinkHandle::flush`] and [`SinkHandle::bind`] stage
+/// one [`TraceEvent::IssueCount`] per PC that issued before they drain.
+///
 /// Cloning the handle shares the staging buffer, the bound kinds and the
 /// underlying sink — the pipeline and the memory system it owns both
 /// feed the same consumer, in emission order.
@@ -135,6 +184,8 @@ impl SinkHandle {
             staged: RefCell::new(Staged {
                 buf: Vec::with_capacity(EMIT_BATCH),
                 inner: sink,
+                counts: Vec::new(),
+                touched: Vec::new(),
             }),
         })))
     }
@@ -156,14 +207,34 @@ impl SinkHandle {
     }
 
     /// Binds the sink to a program ([`TraceSink::bind`]) and from then on
-    /// delivers only the kinds it returns. Events staged under the
-    /// previous set are flushed first. A no-op when disabled.
+    /// delivers only the kinds it returns. Events staged and issues
+    /// counted under the previous set are flushed first. A no-op when
+    /// disabled.
     pub fn bind(&self, ops_per_instr: &[u8]) {
         if let Some(shared) = &self.0 {
             let mut s = shared.staged.borrow_mut();
-            s.flush();
+            s.drain();
             let kinds = s.inner.borrow_mut().bind(ops_per_instr);
             shared.kinds.set(kinds);
+        }
+    }
+
+    /// Records that VLIW instruction `pc` issued at `cycle` with
+    /// `exec_ops` guard-true operations: an [`TraceEvent::InstrIssue`]
+    /// if the bound sink reads it, and one more issue in the per-PC
+    /// counts if it reads [`EventKinds::ISSUE_COUNT`]. A no-op when
+    /// disabled.
+    #[inline]
+    pub fn issue(&self, cycle: u64, pc: usize, exec_ops: u8) {
+        if let Some(shared) = &self.0 {
+            if shared.kinds.get().intersects(EventKinds::ISSUE_COUNT) {
+                shared.staged.borrow_mut().count(pc, exec_ops);
+            }
+            shared.push(TraceEvent::InstrIssue {
+                cycle,
+                pc,
+                ops: exec_ops,
+            });
         }
     }
 
@@ -197,12 +268,13 @@ impl SinkHandle {
         }
     }
 
-    /// Drains the staging buffer into the sink (no-op when disabled or
-    /// empty). Every clone of a handle shares one buffer, so a single
-    /// flush drains events from all producers.
+    /// Stages the per-PC issue counts as [`TraceEvent::IssueCount`]
+    /// events, then drains the staging buffer into the sink (no-op when
+    /// disabled or empty). Every clone of a handle shares one buffer, so
+    /// a single flush drains events from all producers.
     pub fn flush(&self) {
         if let Some(shared) = &self.0 {
-            shared.staged.borrow_mut().flush();
+            shared.staged.borrow_mut().drain();
         }
     }
 }
@@ -480,6 +552,79 @@ mod tests {
         for child in [&a, &b] {
             assert_eq!(child.borrow().seen, ["instr_issue", "prefetch_issue"]);
         }
+    }
+
+    /// Keeps every event it receives and reads `reads`.
+    struct Keep {
+        reads: EventKinds,
+        events: Vec<TraceEvent>,
+    }
+
+    impl TraceSink for Keep {
+        fn event(&mut self, event: &TraceEvent) {
+            self.events.push(*event);
+        }
+
+        fn bind(&mut self, _ops_per_instr: &[u8]) -> EventKinds {
+            self.reads
+        }
+    }
+
+    /// Binds a [`Keep`] reading `reads` to a two-instruction program.
+    fn bound_keep(reads: EventKinds) -> (SinkHandle, Rc<RefCell<Keep>>) {
+        let keep = Rc::new(RefCell::new(Keep {
+            reads,
+            events: Vec::new(),
+        }));
+        let h = SinkHandle::from(keep.clone());
+        h.bind(&[1, 1]);
+        (h, keep)
+    }
+
+    #[test]
+    fn issue_counts_are_summed_per_pc_and_staged_at_flush() {
+        let (h, keep) = bound_keep(EventKinds::ISSUE_COUNT);
+        h.issue(0, 3, 2);
+        h.issue(1, 1, 1);
+        h.issue(2, 3, 0);
+        assert!(keep.borrow().events.is_empty(), "counted, not staged");
+        h.flush();
+        let count = |pc, issues, exec_ops| TraceEvent::IssueCount {
+            pc,
+            issues,
+            exec_ops,
+        };
+        // One event per PC that issued, in PC order; the table grows
+        // past the bound program.
+        assert_eq!(keep.borrow().events, [count(1, 1, 1), count(3, 2, 2)]);
+        h.flush();
+        assert_eq!(keep.borrow().events.len(), 2, "the counts restart at 0");
+        h.issue(3, 1, 4);
+        h.bind(&[1, 1]);
+        assert_eq!(keep.borrow().events[2], count(1, 1, 4), "bind drains");
+    }
+
+    #[test]
+    fn issue_builds_only_what_the_sink_reads() {
+        let (h, keep) = bound_keep(EventKinds::ALL);
+        h.issue(7, 0, 2);
+        h.flush();
+        let instr = TraceEvent::InstrIssue {
+            cycle: 7,
+            pc: 0,
+            ops: 2,
+        };
+        assert_eq!(keep.borrow().events, [instr], "ALL has no issue counts");
+        let (h, keep) = bound_keep(EventKinds::ALL | EventKinds::ISSUE_COUNT);
+        h.issue(7, 0, 2);
+        h.flush();
+        let count = TraceEvent::IssueCount {
+            pc: 0,
+            issues: 1,
+            exec_ops: 2,
+        };
+        assert_eq!(keep.borrow().events, [instr, count]);
+        SinkHandle::disabled().issue(0, 0, 1);
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub struct TimelineSample {
     pub prefetch_issued: u64,
     /// Bytes scheduled on the DRAM channel.
     pub dram_bytes: u64,
-    /// Events observed in the interval.
+    /// Events observed in the interval. Events without a cycle stamp
+    /// (per-PC issue counts a fan-out delivers, fault flips) count in
+    /// the interval open when they arrive.
     pub events: u64,
 }
 

@@ -7,12 +7,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tm3270_asm::ProgramBuilder;
-use tm3270_bench::profile::{find_workload, golden_names, profile_kernel_with, ProfileOptions};
+use tm3270_bench::profile::{
+    find_workload, golden_names, profile_kernel_with, profile_sweep, workloads, ProfileOptions,
+};
 use tm3270_core::{Machine, MachineConfig, RunOptions, SimError};
 use tm3270_fault::{FaultInjector, FaultSite};
+use tm3270_harness::JobError;
 use tm3270_obs::{
-    CounterSink, EventKinds, FanoutSink, NullSink, ProfileSink, RingSink, SinkHandle, TimelineSink,
-    TraceEvent, TraceSink,
+    CacheId, CacheOutcome, CounterSink, EventKinds, FanoutSink, NullSink, PcProfile, ProfileSink,
+    RingSink, SinkHandle, StallCause, TimelineSink, TraceEvent, TraceSink,
 };
 
 /// The acceptance criterion of the observability layer: on every golden
@@ -327,6 +330,294 @@ fn filtered_and_full_streams_give_one_profile() {
     profile_both_ways("jump-only watchdog program", make, 100_000);
 }
 
+/// Rebuilds the per-PC table from the full event stream (it reads
+/// [`EventKinds::ALL`]) one event at a time, the reference for
+/// [`ProfileSink`]'s summed counts: per `InstrIssue` one issue cycle,
+/// the static op count and the guard-true ops; per `StallEnd` its
+/// cycles; per missing `CacheAccess` one miss.
+struct PerEventRule {
+    per_pc: Vec<PcProfile>,
+    ops_per_instr: Vec<u8>,
+    watchdog: Option<(usize, u64)>,
+}
+
+impl PerEventRule {
+    fn at(&mut self, pc: usize) -> &mut PcProfile {
+        if pc >= self.per_pc.len() {
+            self.per_pc.resize(pc + 1, PcProfile::default());
+        }
+        &mut self.per_pc[pc]
+    }
+}
+
+impl TraceSink for PerEventRule {
+    fn event(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::InstrIssue { pc, ops, .. } => {
+                let static_ops = self.ops_per_instr[pc];
+                let p = self.at(pc);
+                p.issue += 1;
+                p.ops += u64::from(static_ops);
+                p.exec_ops += u64::from(ops);
+            }
+            TraceEvent::StallEnd {
+                pc, cause, cycles, ..
+            } => match cause {
+                StallCause::IFetch => self.at(pc).ifetch_stall += cycles,
+                StallCause::Data => self.at(pc).data_stall += cycles,
+            },
+            TraceEvent::CacheAccess {
+                pc,
+                cache,
+                outcome: CacheOutcome::Miss,
+                ..
+            } => match cache {
+                CacheId::Data => self.at(pc).dcache_misses += 1,
+                CacheId::Instr => self.at(pc).icache_misses += 1,
+            },
+            TraceEvent::WatchdogFired { pc, idle, .. } => self.watchdog = Some((pc, idle)),
+            TraceEvent::IssueCount { .. } => panic!("issue counts reached an ALL-bound sink"),
+            _ => {}
+        }
+    }
+
+    fn bind(&mut self, ops_per_instr: &[u8]) -> EventKinds {
+        self.ops_per_instr = ops_per_instr.to_vec();
+        EventKinds::ALL
+    }
+}
+
+/// Runs two fresh machines from `make`, one with a [`ProfileSink`]
+/// bound alone and one with a [`PerEventRule`], through `budgets` in turn
+/// (each a `run_with` budget, the last one large enough to finish), and
+/// after every slice flushes both handles and requires one per-PC
+/// table. At the end the profile must also hold every cycle of the run.
+fn profile_matches_per_event_rule(what: &str, make: impl Fn() -> Machine, budgets: &[u64]) {
+    let mut ours = make();
+    let mut reference = make();
+    let len = ours.program().instrs.len();
+    let profile = Rc::new(RefCell::new(ProfileSink::new(len)));
+    let rule = Rc::new(RefCell::new(PerEventRule {
+        per_pc: vec![PcProfile::default(); len],
+        ops_per_instr: Vec::new(),
+        watchdog: None,
+    }));
+    let handles = [
+        SinkHandle::from(profile.clone()),
+        SinkHandle::from(rule.clone()),
+    ];
+    ours.attach_sink(handles[0].clone());
+    reference.attach_sink(handles[1].clone());
+    let mut cycles = 0;
+    for (i, &budget) in budgets.iter().enumerate() {
+        let outcome = ours.run_with(RunOptions::budget(budget).with_report());
+        let reference_outcome = reference.run_with(RunOptions::budget(budget));
+        handles.iter().for_each(SinkHandle::flush);
+        assert_eq!(
+            outcome.result, reference_outcome.result,
+            "{what}: slice {i} ran alike"
+        );
+        let p = profile.borrow();
+        let r = rule.borrow();
+        assert_eq!(p.per_pc(), r.per_pc.as_slice(), "{what}: slice {i} table");
+        assert_eq!(
+            (p.watchdog_pc(), p.watchdog_idle()),
+            r.watchdog.map_or((None, 0), |(pc, idle)| (Some(pc), idle)),
+            "{what}: slice {i} watchdog"
+        );
+        cycles = match (&outcome.result, &outcome.report) {
+            (Ok(stats), _) => stats.cycles,
+            (Err(_), Some(report)) => report.cycle,
+            (Err(e), None) => panic!("{what}: {e} without a report"),
+        };
+    }
+    assert_eq!(
+        profile.borrow().total_cycles(),
+        cycles,
+        "{what}: cycles conserved"
+    );
+}
+
+/// A [`ProfileSink`] bound alone (issue counts at flush, cache misses
+/// alone) gives the same per-PC table as the full event stream
+/// attributed one event at a time ([`PerEventRule`]): on every golden
+/// kernel on configs A and D, on a watchdog-aborted run, and on runs
+/// cut into budget slices with a flush between slices, compared after
+/// every slice.
+#[test]
+fn profile_sink_matches_the_per_event_rule_on_the_full_stream() {
+    for config in [MachineConfig::config_a(), MachineConfig::config_d()] {
+        for name in golden_names() {
+            let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
+            let program = kernel.build(&config.issue).unwrap();
+            let make = || {
+                let mut m = Machine::new(config.clone(), program.clone()).unwrap();
+                kernel.setup(&mut m);
+                m
+            };
+            let cell = format!("{name} on {}", config.name);
+            profile_matches_per_event_rule(&cell, make, &[kernel.cycle_budget()]);
+            if name == "filter" || name == "memcpy" {
+                // Slices that end mid-instruction-stream, mid-stall and
+                // at odd cycles, then the rest of the run.
+                let mut budgets: Vec<u64> = (1..=40).map(|k| k * 7_919).collect();
+                budgets.push(kernel.cycle_budget());
+                profile_matches_per_event_rule(&format!("{cell}, sliced"), make, &budgets);
+            }
+        }
+    }
+    let config = MachineConfig::tm3270();
+    let mut b = ProgramBuilder::new(config.issue);
+    let top = b.bind_here();
+    b.jump(top);
+    let program = b.build().unwrap();
+    let make = || {
+        let mut m = Machine::new(config.clone(), program.clone()).unwrap();
+        m.set_watchdog(500);
+        m
+    };
+    profile_matches_per_event_rule("jump-only watchdog program", make, &[100_000]);
+    profile_matches_per_event_rule("sliced watchdog program", make, &[123, 321, 100_000]);
+}
+
+/// Bound alone, a [`ProfileSink`] is delivered fewer than 0.1 events
+/// per instruction on the kernels of the benchmark's traced workload
+/// (config D): per-PC issue counts, stall ends and cache misses only.
+#[test]
+fn profile_sink_alone_reads_under_a_tenth_of_an_event_per_instruction() {
+    let config = MachineConfig::config_d();
+    for name in ["memcpy", "filter", "rgb2yuv", "mpeg2_b"] {
+        let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
+        let mut m = Machine::new(config.clone(), kernel.build(&config.issue).unwrap()).unwrap();
+        let profile = Rc::new(RefCell::new(ProfileSink::new(m.program().instrs.len())));
+        m.attach_sink(SinkHandle::from(profile.clone()));
+        kernel.setup(&mut m);
+        let stats = m
+            .run_with(RunOptions::budget(kernel.cycle_budget()))
+            .into_result()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let per_instr = profile.borrow().events() as f64 / stats.instrs as f64;
+        assert!(
+            per_instr < 0.1,
+            "{name}: {per_instr} events per instruction"
+        );
+    }
+}
+
+/// Keeps the cache accesses delivered to it, misses in full; reads
+/// `reads`.
+struct Accesses {
+    reads: EventKinds,
+    misses: Vec<TraceEvent>,
+    others: u64,
+}
+
+impl TraceSink for Accesses {
+    fn event(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::CacheAccess {
+                outcome: CacheOutcome::Miss,
+                ..
+            } => self.misses.push(*event),
+            _ => self.others += 1,
+        }
+    }
+
+    fn bind(&mut self, _ops_per_instr: &[u8]) -> EventKinds {
+        self.reads
+    }
+}
+
+/// A sink bound to [`EventKinds::CACHE_MISS`] alone receives exactly
+/// the `Miss` events of the [`EventKinds::CACHE_ACCESS`] stream, every
+/// field and the order included, and nothing else: on every golden
+/// kernel on configs A and D, with data- and instruction-cache misses.
+#[test]
+fn cache_miss_sink_receives_exactly_the_misses_of_the_access_stream() {
+    for config in [MachineConfig::config_a(), MachineConfig::config_d()] {
+        let (mut dcache, mut icache) = (0, 0);
+        for name in golden_names() {
+            let kernel = find_workload(name).unwrap_or_else(|| panic!("{name} in registry"));
+            let program = kernel.build(&config.issue).unwrap();
+            let run = |reads| {
+                let sink = Rc::new(RefCell::new(Accesses {
+                    reads,
+                    misses: Vec::new(),
+                    others: 0,
+                }));
+                let mut m = Machine::new(config.clone(), program.clone()).unwrap();
+                m.attach_sink(SinkHandle::from(sink.clone()));
+                kernel.setup(&mut m);
+                m.run_with(RunOptions::budget(kernel.cycle_budget()))
+                    .into_result()
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                drop(m);
+                Rc::try_unwrap(sink).ok().expect("one owner").into_inner()
+            };
+            let all = run(EventKinds::CACHE_ACCESS);
+            let misses = run(EventKinds::CACHE_MISS);
+            let cell = format!("{name} on {}", config.name);
+            assert!(all.others > 0, "{cell}: the access stream has hits");
+            assert_eq!(misses.others, 0, "{cell}: only misses delivered");
+            assert_eq!(misses.misses, all.misses, "{cell}: the same misses");
+            for e in &misses.misses {
+                match e {
+                    TraceEvent::CacheAccess {
+                        cache: CacheId::Data,
+                        ..
+                    } => dcache += 1,
+                    _ => icache += 1,
+                }
+            }
+        }
+        assert!(
+            dcache > 0 && icache > 0,
+            "{}: both caches miss",
+            config.name
+        );
+    }
+}
+
+/// A profile sweep over every registry workload on config A (the
+/// TM3260) reports the three workloads that need TM3270 operations as
+/// typed failed rows, in registry order beside the sixteen profiles that
+/// built, each of which conserves cycles.
+#[test]
+fn config_a_sweep_reports_failed_jobs_beside_the_profiles() {
+    let names: Vec<String> = workloads().iter().map(|k| k.name().to_string()).collect();
+    let config = tm3270_session::config_named("a").expect("config a");
+    let rows = profile_sweep(&names, &config, &ProfileOptions::default(), 2);
+    assert_eq!(rows.len(), names.len());
+    let mut failed = Vec::new();
+    for (name, row) in names.iter().zip(&rows) {
+        match row {
+            Ok(p) => {
+                assert_eq!(p.workload, name, "rows keep registry order");
+                p.check_conservation()
+                    .unwrap_or_else(|e| panic!("conservation: {e}"));
+            }
+            Err(f) => {
+                assert_eq!(&f.workload, name, "rows keep registry order");
+                assert_eq!(f.config_name, config.name);
+                assert!(
+                    matches!(&f.error, JobError::Failed(m) if m.contains("has no issue slot")),
+                    "{name}: {}",
+                    f.error
+                );
+                let json = f.to_json();
+                let v = mini_json::Parser::parse(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+                assert!(v.get("failed").is_some(), "{json}");
+                failed.push(name.as_str());
+            }
+        }
+    }
+    assert_eq!(
+        failed,
+        ["cabac_decode_opt", "motion_est_opt", "upconv_opt_pf"]
+    );
+    assert_eq!(rows.len() - failed.len(), 16);
+}
+
 /// Counts the event kinds delivered to it; reads only `InstrIssue`.
 #[derive(Default)]
 struct IssueOnly {
@@ -348,7 +639,7 @@ impl TraceSink for IssueOnly {
 }
 
 /// Splits the full event stream into the kinds [`CounterSink`] reads
-/// and the rest; reads every kind.
+/// and the rest; reads every kind, the per-PC issue counts included.
 #[derive(Default)]
 struct CounterKinds {
     read: u64,
@@ -362,6 +653,10 @@ impl TraceSink for CounterKinds {
         } else {
             self.unread += 1;
         }
+    }
+
+    fn bind(&mut self, _ops_per_instr: &[u8]) -> EventKinds {
+        EventKinds::ALL | EventKinds::ISSUE_COUNT
     }
 }
 
